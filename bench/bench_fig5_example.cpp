@@ -3,8 +3,10 @@
 // Reproduces: the static HEFT schedule of Fig. 5(a) (makespan 80) and the
 // AHEFT reschedule of Fig. 5(b) when r4 joins at t=15 (makespan 76).
 // The 76-unit schedule requires one near-tie order swap on top of strict
-// upward-rank order (see DESIGN.md); the bench shows both the plain greedy
-// candidate (which the planner rightly declines) and the explored one.
+// upward-rank order: two adjacent jobs' upward ranks lie within
+// rank_tie_fraction, and the published Fig. 5(b) places them in the
+// swapped order. The bench shows both the plain greedy candidate (which
+// the planner rightly declines) and the explored one.
 #include <iostream>
 
 #include "bench_util.h"

@@ -1,7 +1,6 @@
 #include "core/dynamic_scheduler.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -28,39 +27,37 @@ DynamicExecution::DynamicExecution(SimulationSession& session,
                                    const grid::CostProvider& actual,
                                    DynamicHeuristic heuristic,
                                    double priority, bool contention_aware)
-    : session_(&session),
-      dag_(&dag),
-      actual_(&actual),
-      pool_(&session.pool()),
-      load_(session.load()),
-      trace_(session.trace()),
+    : core_(session.simulator(), dag, actual, session.pool(),
+            session.trace()),
       heuristic_(heuristic),
       contention_aware_(contention_aware),
-      schedule_(dag.job_count()),
-      finished_(dag.job_count(), false),
-      location_(dag.job_count(), grid::kInvalidResource),
-      aft_(dag.job_count(), sim::kTimeZero),
       pending_preds_(dag.job_count(), 0) {
-  AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
-  if (session.resilience().active()) {
-    resilience_ = &session.resilience();
-  }
-  session.add_participant(this, priority);
+  core_.join(session, this, priority, /*restartable=*/false);
+  // Terminal failure ends the run like a finish would — in a fresh event,
+  // so the failing dispatch unwinds first.
+  core_.set_failure_hook([this] {
+    core_.simulator().schedule_at(core_.simulator().now(), [this] {
+      if (done_) {
+        done_(*this);
+      }
+    });
+  });
 }
 
 void DynamicExecution::launch(sim::Time release, Completion done) {
-  AHEFT_REQUIRE(sim::time_le(session_->simulator().now(), release),
+  AHEFT_REQUIRE(sim::time_le(core_.simulator().now(), release),
                 "dynamic launch release lies in the simulator's past");
   release_ = release;
   done_ = std::move(done);
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    pending_preds_[i] = static_cast<std::uint32_t>(dag_->in_edges(i).size());
+  const dag::Dag& dag = core_.dag();
+  for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+    pending_preds_[i] = static_cast<std::uint32_t>(dag.in_edges(i).size());
     if (pending_preds_[i] == 0) {
       ready_.push_back(i);
     }
   }
-  session_->simulator().schedule_at(release, [this] {
-    AHEFT_REQUIRE(pool_->count_available_at(release_) > 0,
+  core_.simulator().schedule_at(release, [this] {
+    AHEFT_REQUIRE(core_.pool().count_available_at(release_) > 0,
                   "dynamic run needs at least one resource at release");
     planned_finish_ = estimate_solo_finish();
     dispatch();
@@ -80,31 +77,33 @@ sim::Time DynamicExecution::estimate_solo_finish() const {
   // additionally fit every placement into the ledger snapshot's free
   // gaps, mirroring what the contention-aware planner's release-time
   // HEFT pass prices for the static strategies.
+  const dag::Dag& dag = core_.dag();
+  const grid::CostProvider& actual = core_.actual();
   const std::vector<grid::ResourceId> visible =
-      pool_->available_at(release_);
+      core_.pool().available_at(release_);
   std::optional<AvailabilityView> view;
   if (contention_aware_) {
-    view.emplace(session_->availability_view(this));
+    view.emplace(core_.session()->availability_view(this));
   }
-  std::vector<sim::Time> finish(dag_->job_count(), release_);
-  std::vector<grid::ResourceId> where(dag_->job_count(),
+  std::vector<sim::Time> finish(dag.job_count(), release_);
+  std::vector<grid::ResourceId> where(dag.job_count(),
                                       grid::kInvalidResource);
   std::map<grid::ResourceId, sim::Time> free;
   sim::Time span_end = release_;
-  for (const dag::JobId job : dag_->topological_order()) {
+  for (const dag::JobId job : dag.topological_order()) {
     sim::Time best_finish = sim::kTimeInfinity;
     grid::ResourceId best_r = grid::kInvalidResource;
     for (const grid::ResourceId r : visible) {
       sim::Time ready = release_;
-      for (const std::uint32_t e : dag_->in_edges(job)) {
-        const dag::Edge& edge = dag_->edges()[e];
+      for (const std::uint32_t e : dag.in_edges(job)) {
+        const dag::Edge& edge = dag.edges()[e];
         sim::Time arrival = finish[edge.from];
         if (where[edge.from] != r) {
-          arrival += actual_->comm_cost(edge, where[edge.from], r);
+          arrival += actual.comm_cost(edge, where[edge.from], r);
         }
         ready = std::max(ready, arrival);
       }
-      const double w = actual_->compute_cost(job, r);
+      const double w = actual.compute_cost(job, r);
       const auto it = free.find(r);
       sim::Time start =
           std::max(ready, it == free.end() ? release_ : it->second);
@@ -126,7 +125,7 @@ sim::Time DynamicExecution::estimate_solo_finish() const {
 }
 
 void DynamicExecution::contention_changed(grid::ResourceId resource) {
-  if (failed_) {
+  if (core_.failed()) {
     return;
   }
   // Re-arbitrate every held dispatch on the resource (job-id order keeps
@@ -147,29 +146,25 @@ sim::Time DynamicExecution::inputs_ready(dag::JobId job,
                                          grid::ResourceId resource,
                                          sim::Time now) const {
   sim::Time ready = now;
-  for (const std::uint32_t e : dag_->in_edges(job)) {
-    const dag::Edge& edge = dag_->edges()[e];
-    AHEFT_ASSERT(finished_[edge.from], "ready job with unfinished pred");
+  for (const std::uint32_t e : core_.dag().in_edges(job)) {
+    const dag::Edge& edge = core_.dag().edges()[e];
+    const ExecutorCore::JobState& producer = core_.job(edge.from);
+    AHEFT_ASSERT(producer.phase == ExecutorCore::Phase::kFinished,
+                 "ready job with unfinished pred");
     const sim::Time arrival =
-        location_[edge.from] == resource
-            ? aft_[edge.from]
-            : now + actual_->comm_cost(edge, location_[edge.from], resource);
+        producer.resource == resource
+            ? producer.aft
+            : now + core_.actual().comm_cost(edge, producer.resource,
+                                             resource);
     ready = std::max(ready, arrival);
   }
   return ready;
 }
 
-sim::Time DynamicExecution::machine_free(grid::ResourceId resource) const {
-  return machine_free_before(resource,
-                             std::numeric_limits<std::uint64_t>::max());
-}
-
 sim::Time DynamicExecution::machine_free_before(grid::ResourceId resource,
                                                 std::uint64_t seq) const {
-  sim::Time free = pool_->resource(resource).arrival;
-  if (const auto it = avail_.find(resource); it != avail_.end()) {
-    free = std::max(free, it->second);
-  }
+  sim::Time free = std::max(core_.pool().resource(resource).arrival,
+                            core_.busy_until(resource));
   // Held dispatch decisions claim their granted window for every LATER
   // decision, exactly as an instant advance booking would have stacked —
   // but never for earlier ones, so two held claims cannot gate each
@@ -190,26 +185,28 @@ sim::Time DynamicExecution::completion_time(dag::JobId job,
   // mirror assign()'s acquire exactly — same ready (inputs included) and
   // duration — or a policy deferral could push the realized start past
   // the departure window this estimate is vetted against.
-  const double cost = actual_->compute_cost(job, resource);
-  const sim::Time start = session_->peek(
+  const double cost = core_.actual().compute_cost(job, resource);
+  const sim::Time start = core_.session()->peek(
       this, resource,
-      std::max(inputs_ready(job, resource, now), machine_free(resource)),
+      std::max(inputs_ready(job, resource, now),
+               machine_free_before(resource)),
       cost);
   return start + cost;
 }
 
 /// Runs one just-in-time decision round over every currently ready job.
 void DynamicExecution::dispatch() {
-  if (failed_ || ready_.empty()) {
+  if (core_.failed() || ready_.empty()) {
     return;
   }
-  const sim::Time now = session_->simulator().now();
-  const std::vector<grid::ResourceId> visible = pool_->available_at(now);
+  const sim::Time now = core_.simulator().now();
+  const grid::ResourcePool& pool = core_.pool();
+  const std::vector<grid::ResourceId> visible = pool.available_at(now);
   AHEFT_ASSERT(!visible.empty(), "no resource available for dispatch");
   ++batches_;
 
   bool stuck = false;
-  while (!ready_.empty() && !failed_) {
+  while (!ready_.empty() && !core_.failed()) {
     // For each ready job, its best and second-best completion times.
     dag::JobId chosen = dag::kInvalidJob;
     grid::ResourceId chosen_resource = grid::kInvalidResource;
@@ -225,7 +222,7 @@ void DynamicExecution::dispatch() {
         // Departures are announced (the window is in the pool), so a
         // just-in-time decision never books a machine that would leave
         // before the job finishes.
-        if (!sim::time_le(ct, pool_->resource(r).departure)) {
+        if (!sim::time_le(ct, pool.resource(r).departure)) {
           continue;
         }
         if (ct < best) {
@@ -237,17 +234,17 @@ void DynamicExecution::dispatch() {
         }
       }
       if (best_r == grid::kInvalidResource) {
-        if (resilience_ == nullptr) {
-          throw std::runtime_error(
-              "dynamic dispatch: no visible machine can finish job " +
-              dag_->job(job).name +
-              " before departing (the dynamic baseline does not defer "
-              "dispatch until repairs arrive)");
+        if (core_.session()->resilience().active()) {
+          // The job waits for the pool to change (a repair may bring a
+          // machine); see defer_dispatch below.
+          stuck = true;
+          continue;
         }
-        // Resilience on: the job waits for the pool to change (a repair
-        // may bring a machine); see defer_dispatch below.
-        stuck = true;
-        continue;
+        throw std::runtime_error(
+            "dynamic dispatch: no visible machine can finish job " +
+            core_.dag().job(job).name +
+            " before departing (the dynamic baseline does not defer "
+            "dispatch until repairs arrive)");
       }
       double key = 0.0;
       switch (heuristic_) {
@@ -272,10 +269,10 @@ void DynamicExecution::dispatch() {
     if (chosen == dag::kInvalidJob) {
       break;  // every remaining ready job is stuck
     }
-    assign(chosen, chosen_resource, now);
     ready_.erase(std::find(ready_.begin(), ready_.end(), chosen));
+    assign(chosen, chosen_resource, now);
   }
-  if (stuck && !ready_.empty() && !failed_) {
+  if (stuck && !ready_.empty() && !core_.failed()) {
     defer_dispatch(now);
   }
 }
@@ -283,22 +280,22 @@ void DynamicExecution::dispatch() {
 void DynamicExecution::defer_dispatch(sim::Time now) {
   sim::Time next = sim::kTimeInfinity;
   for (const sim::Time when :
-       pool_->change_times(now, sim::kTimeInfinity)) {
+       core_.pool().change_times(now, sim::kTimeInfinity)) {
     if (when > now && !sim::time_eq(when, now) && when < next) {
       next = when;
     }
   }
   if (next == sim::kTimeInfinity) {
-    fail_run("no machine can finish job " +
-             dag_->job(ready_.front()).name +
-             " before departing, and the pool never changes again");
+    core_.fail("no machine can finish job " +
+               core_.dag().job(ready_.front()).name +
+               " before departing, and the pool never changes again");
     return;
   }
   if (sim::time_eq(deferred_until_, next)) {
     return;  // retry already armed
   }
   deferred_until_ = next;
-  session_->simulator().schedule_at(next, [this, next] {
+  core_.simulator().schedule_at(next, [this, next] {
     if (sim::time_eq(deferred_until_, next)) {
       deferred_until_ = -1.0;
       dispatch();
@@ -306,71 +303,23 @@ void DynamicExecution::defer_dispatch(sim::Time now) {
   });
 }
 
-void DynamicExecution::fail_run(const std::string& reason) {
-  if (failed_) {
-    return;
-  }
-  failed_ = true;
-  failure_reason_ = reason;
-  session_->withdraw_all(this);
-  held_.clear();
-  ready_.clear();
-  const sim::Time now = session_->simulator().now();
-  makespan_ = std::max(makespan_, now);
-  // Fire the completion like a normal finish would — in a fresh event,
-  // so the failing dispatch unwinds first.
-  session_->simulator().schedule_at(now, [this] {
-    if (!done_) {
-      return;
-    }
-    DynamicRunResult result;
-    result.makespan = makespan_;
-    result.batches = batches_;
-    result.schedule = schedule_;
-    const ContentionStats stats = session_->contention_stats(this);
-    result.contention_wait = stats.total_wait;
-    result.max_contention_wait = stats.max_wait;
-    result.failed = true;
-    result.failure_reason = failure_reason_;
-    done_(result);
-  });
-}
-
-void DynamicExecution::record_input_transfers(dag::JobId job,
-                                              grid::ResourceId resource,
-                                              sim::Time decided_at) {
-  if (trace_ == nullptr) {
-    return;
-  }
-  // The paper's dynamic file model starts a transfer when the placement
-  // decision is taken, so the records are stamped at decision time.
-  for (const std::uint32_t e : dag_->in_edges(job)) {
-    const dag::Edge& edge = dag_->edges()[e];
-    if (location_[edge.from] != resource) {
-      trace_->record_transfer(
-          edge.from, job, resource, decided_at,
-          decided_at +
-              actual_->comm_cost(edge, location_[edge.from], resource));
-    }
-  }
-}
-
 void DynamicExecution::assign(dag::JobId job, grid::ResourceId resource,
                               sim::Time now) {
-  const double nominal = actual_->compute_cost(job, resource);
-  const sim::Time feasible =
-      std::max(inputs_ready(job, resource, now), machine_free(resource));
-  const sim::Time start =
-      session_->acquire(this, resource, feasible, nominal, /*tag=*/job);
+  const double nominal = core_.actual().compute_cost(job, resource);
+  const sim::Time start = core_.session()->acquire(
+      this, resource,
+      std::max(inputs_ready(job, resource, now),
+               machine_free_before(resource)),
+      nominal, /*tag=*/job);
 
-  if (session_->two_phase_dynamic() && start > now &&
+  if (core_.session()->two_phase_dynamic() && start > now &&
       !sim::time_eq(start, now)) {
     // Two-phase dispatch: the granted start lies in the future, so keep
     // the reservation held — visible in the ledger queue, displaceable
     // by the policy, re-arbitrated on wakeups — and commit only when the
     // grant matures. Under FCFS this branch never runs and the decision
     // advance-books the slot instantly (the historical behavior).
-    session_->hold(this, resource, job, start);
+    core_.session()->hold(this, resource, job, start);
     HeldDispatch& hold = held_[job];
     hold.resource = resource;
     hold.nominal = nominal;
@@ -380,14 +329,14 @@ void DynamicExecution::assign(dag::JobId job, grid::ResourceId resource,
     schedule_retry(job, start);
     return;
   }
-  start_assignment(job, resource, nominal, start, /*decided_at=*/now);
+  start_assignment(job, resource, start, /*decided_at=*/now);
 }
 
 void DynamicExecution::schedule_retry(dag::JobId job, sim::Time when) {
   HeldDispatch& hold = held_[job];
   hold.retry_at = when;
   const std::uint64_t generation = ++hold.generation;
-  session_->simulator().schedule_at(when, [this, job, generation] {
+  core_.simulator().schedule_at(when, [this, job, generation] {
     const auto it = held_.find(job);
     if (it != held_.end() && it->second.generation == generation) {
       retry_held(job);
@@ -397,21 +346,21 @@ void DynamicExecution::schedule_retry(dag::JobId job, sim::Time when) {
 
 void DynamicExecution::retry_held(dag::JobId job) {
   const auto it = held_.find(job);
-  if (failed_ || it == held_.end()) {
+  if (core_.failed() || it == held_.end()) {
     return;
   }
   HeldDispatch hold = it->second;
-  const sim::Time now = session_->simulator().now();
+  const sim::Time now = core_.simulator().now();
   const sim::Time feasible = std::max(
       {hold.inputs_ready, machine_free_before(hold.resource, hold.seq), now});
-  const sim::Time start = session_->acquire(this, hold.resource, feasible,
-                                            hold.nominal, /*tag=*/job);
+  const sim::Time start = core_.session()->acquire(
+      this, hold.resource, feasible, hold.nominal, /*tag=*/job);
 
   // The machine may depart before the re-arbitrated start fits: abandon
   // the held placement and re-decide over the machines visible now.
   if (!sim::time_le(start + hold.nominal,
-                    pool_->resource(hold.resource).departure)) {
-    session_->withdraw(this, hold.resource, job);
+                    core_.pool().resource(hold.resource).departure)) {
+    core_.session()->withdraw(this, hold.resource, job);
     held_.erase(job);
     ready_.push_back(job);
     dispatch();
@@ -419,67 +368,45 @@ void DynamicExecution::retry_held(dag::JobId job) {
   }
 
   if (start > now && !sim::time_eq(start, now)) {
-    session_->hold(this, hold.resource, job, start);
+    core_.session()->hold(this, hold.resource, job, start);
     schedule_retry(job, start);
     return;
   }
   held_.erase(job);
-  start_assignment(job, hold.resource, hold.nominal, std::max(start, now),
-                   hold.decided_at);
+  start_assignment(job, hold.resource, std::max(start, now), hold.decided_at);
 }
 
 void DynamicExecution::start_assignment(dag::JobId job,
                                         grid::ResourceId resource,
-                                        double nominal, sim::Time start,
+                                        sim::Time start,
                                         sim::Time decided_at) {
-  record_input_transfers(job, resource, decided_at);
-  double duration = nominal;
-  if (load_ != nullptr) {
-    const double factor = load_->factor(resource, start);
-    AHEFT_ASSERT(factor > 0.0, "load factor must be positive");
-    duration *= factor;
-  }
-  const sim::Time finish = start + duration;
-  // The dispatch loop vetted the nominal completion against the window;
-  // a load spike can still stretch the realized run past it, which is
-  // the same unsupported combination the execution engine reports —
-  // unless resilience is on, in which case the run fails gracefully
-  // (dynamic jobs have no restart machinery; see the class note).
-  if (!sim::time_le(finish, pool_->resource(resource).departure)) {
-    if (resilience_ == nullptr) {
-      throw std::runtime_error(
-          "load-stretched job " + dag_->job(job).name +
-          " would outlive its machine: scenarios combining load segments "
-          "with finite departures need restart semantics (unsupported; "
-          "see ROADMAP)");
+  // The paper's dynamic file model starts a transfer when the placement
+  // decision is taken, so the records are stamped at decision time.
+  if (sim::TraceRecorder* trace = core_.trace(); trace != nullptr) {
+    for (const std::uint32_t e : core_.dag().in_edges(job)) {
+      const dag::Edge& edge = core_.dag().edges()[e];
+      const grid::ResourceId from = core_.job(edge.from).resource;
+      if (from != resource) {
+        trace->record_transfer(
+            edge.from, job, resource, decided_at,
+            decided_at + core_.actual().comm_cost(edge, from, resource));
+      }
     }
-    fail_run("load-stretched job " + dag_->job(job).name +
-             " would outlive its machine");
-    return;
   }
-  session_->commit(this, resource, /*tag=*/job, start, finish);
-  schedule_.assign(Assignment{job, resource, start, finish});
-  auto& booked = avail_[resource];
-  booked = std::max(booked, finish);
-  session_->simulator().schedule_at(
-      finish, [this, job, resource, start, finish] {
-        complete(job, resource, start, finish);
-      });
+  // The dispatch loop vetted the nominal completion against the window;
+  // a load spike can still stretch the realized run past it, which the
+  // core reports or (resilience on) turns into a graceful failure.
+  core_.start_segment(job, resource, start,
+                      [this](dag::JobId ended, bool /*at_wall*/) {
+                        complete(ended);
+                      });
 }
 
-void DynamicExecution::complete(dag::JobId job, grid::ResourceId resource,
-                                sim::Time start, sim::Time finish) {
-  finished_[job] = true;
-  ++finished_count_;
-  location_[job] = resource;
-  aft_[job] = finish;
-  makespan_ = std::max(makespan_, finish);
-  if (trace_ != nullptr) {
-    trace_->record_compute(job, resource, start, finish);
-  }
+void DynamicExecution::complete(dag::JobId job) {
+  core_.finish_segment(job);
   bool any_ready = false;
-  for (const std::uint32_t e : dag_->out_edges(job)) {
-    const dag::JobId succ = dag_->edges()[e].to;
+  for (const std::uint32_t e : core_.dag().out_edges(job)) {
+    const dag::JobId succ = core_.dag().edges()[e].to;
     AHEFT_ASSERT(pending_preds_[succ] > 0, "pred counter underflow");
     if (--pending_preds_[succ] == 0) {
       ready_.push_back(succ);
@@ -489,42 +416,9 @@ void DynamicExecution::complete(dag::JobId job, grid::ResourceId resource,
   if (any_ready) {
     dispatch();
   }
-  if (finished() && done_) {
-    DynamicRunResult result;
-    result.makespan = makespan_;
-    result.batches = batches_;
-    result.schedule = schedule_;
-    const ContentionStats stats = session_->contention_stats(this);
-    result.contention_wait = stats.total_wait;
-    result.max_contention_wait = stats.max_wait;
-    done_(result);
+  if (core_.finished() && done_) {
+    done_(*this);
   }
-}
-
-DynamicRunResult run_dynamic(const dag::Dag& dag,
-                             const grid::CostProvider& actual,
-                             const grid::ResourcePool& pool,
-                             DynamicHeuristic heuristic,
-                             sim::TraceRecorder* trace,
-                             const grid::LoadProfile* load) {
-  AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
-  AHEFT_REQUIRE(pool.count_available_at(sim::kTimeZero) > 0,
-                "dynamic run needs at least one initial resource");
-  SessionEnvironment env;
-  env.pool = &pool;
-  env.load = load;
-  env.trace = trace;
-  SimulationSession session(env);
-  DynamicExecution execution(session, dag, actual, heuristic);
-  DynamicRunResult result;
-  bool completed = false;
-  execution.launch(sim::kTimeZero, [&](const DynamicRunResult& r) {
-    result = r;
-    completed = true;
-  });
-  session.run();
-  AHEFT_ASSERT(completed, "dynamic run ended with unfinished jobs");
-  return result;
 }
 
 }  // namespace aheft::core

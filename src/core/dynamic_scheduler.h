@@ -9,53 +9,40 @@
 //
 // Max-Min and Sufferage are provided as additional baselines (extension).
 //
-// DynamicExecution is the session form: it runs inside a shared
-// SimulationSession, realizes load-scaled run times from the session's
-// LoadProfile (decisions still use nominal costs — just-in-time schedulers
-// don't see the future either), and participates in cross-workflow
-// resource contention. Dispatch is two-phase under arbitrating policies
+// DynamicExecution is the just-in-time front end of the shared
+// ExecutorCore (core/executor_core.h), which owns the job lifecycle from
+// start to completion or failure — load-scaled run times, the departure
+// window, the ledger commit, resilience accounting. What stays here is
+// the ready set and its heuristics, held two-phase dispatch, the
+// release-time estimate and the decision-time transfer model. Decisions
+// use nominal costs (just-in-time schedulers don't see the future
+// either). Dispatch is two-phase under arbitrating policies
 // (ContentionPolicy::two_phase_dynamic): a decision whose granted start
 // lies in the future takes a held ledger reservation — visible to and
 // displaceable by the policy — and commits only when the grant matures,
 // so priority and fair-share genuinely arbitrate dynamic demand. Under
 // FCFS the historical instant advance booking is preserved bit-for-bit.
-// run_dynamic() wraps it all for the classic one-DAG-one-call usage.
+// Run it through run_strategy(StrategyKind::kDynamic, ...).
 #ifndef AHEFT_CORE_DYNAMIC_SCHEDULER_H_
 #define AHEFT_CORE_DYNAMIC_SCHEDULER_H_
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/schedule.h"
+#include "core/executor_core.h"
 #include "core/session.h"
 #include "dag/dag.h"
 #include "grid/cost_provider.h"
-#include "grid/load_profile.h"
-#include "grid/resource_pool.h"
-#include "sim/trace.h"
 
 namespace aheft::core {
 
 enum class DynamicHeuristic { kMinMin, kMaxMin, kSufferage };
 
 [[nodiscard]] std::string to_string(DynamicHeuristic heuristic);
-
-struct DynamicRunResult {
-  sim::Time makespan = sim::kTimeZero;
-  std::size_t batches = 0;      ///< number of just-in-time decision rounds
-  Schedule schedule;            ///< realized placement (for inspection)
-  /// Cross-workflow machine wait imposed by the session's contention
-  /// policy (zero for uncontended runs).
-  double contention_wait = 0.0;
-  double max_contention_wait = 0.0;
-  /// The run failed terminally (see DynamicExecution's resilience note);
-  /// `makespan` is then the failure time and `schedule` partial.
-  bool failed = false;
-  std::string failure_reason;
-};
 
 /// Event-driven just-in-time execution of one DAG inside a shared
 /// session. Decisions are made with nominal costs over the resources
@@ -70,8 +57,8 @@ struct DynamicRunResult {
 /// again, and a load-stretched run outliving its machine fails the run
 /// instead of aborting the process. Dynamic runs have no restart
 /// machinery (a just-in-time job either finishes or never ran), so
-/// DepartureAction::kRequeue degrades to the same graceful failure —
-/// checkpoint/restart requeueing is the planner engines' domain.
+/// DepartureAction::kRequeue degrades to the same graceful failure, which
+/// truncates the running and booked-ahead windows at the failure time.
 class DynamicExecution : public SessionParticipant {
  public:
   /// `priority` is the workflow's weight under the session's contention
@@ -87,17 +74,17 @@ class DynamicExecution : public SessionParticipant {
                    DynamicHeuristic heuristic = DynamicHeuristic::kMinMin,
                    double priority = 1.0, bool contention_aware = false);
 
-  using Completion = std::function<void(const DynamicRunResult&)>;
+  using Completion = std::function<void(const DynamicExecution&)>;
 
   /// Schedules the first decision round at `release` (>= the session
-  /// clock); `done` fires on the session clock once every job finished.
-  /// The execution must outlive the session's run.
+  /// clock); `done` fires on the session clock once every job finished
+  /// or the run failed. The execution must outlive the session's run.
   void launch(sim::Time release, Completion done);
 
-  [[nodiscard]] bool finished() const {
-    return finished_count_ == dag_->job_count();
-  }
-  [[nodiscard]] sim::Time makespan() const { return makespan_; }
+  /// The job lifecycle: per-job state, accounting, failure.
+  [[nodiscard]] const ExecutorCore& core() const { return core_; }
+  /// Number of just-in-time decision rounds.
+  [[nodiscard]] std::size_t batches() const { return batches_; }
 
   // SessionParticipant: a competing reservation on `resource` moved —
   // re-arbitrate the held (two-phase) dispatch decisions queued there.
@@ -138,15 +125,14 @@ class DynamicExecution : public SessionParticipant {
   [[nodiscard]] sim::Time inputs_ready(dag::JobId job,
                                        grid::ResourceId resource,
                                        sim::Time now) const;
-  /// Time `resource` is free for this workflow's own reasons: its
-  /// committed bookings, its held dispatch claims, and the machine's
-  /// arrival. Cross-workflow availability is layered on top by
-  /// completion_time()'s session peek.
-  [[nodiscard]] sim::Time machine_free(grid::ResourceId resource) const;
-  /// machine_free seen by decision number `seq`: only held claims of
-  /// strictly earlier decisions gate it (its own claim never does).
-  [[nodiscard]] sim::Time machine_free_before(grid::ResourceId resource,
-                                              std::uint64_t seq) const;
+  /// Time `resource` is free for this workflow's own reasons, as seen by
+  /// decision number `seq`: its committed bookings, the held claims of
+  /// strictly earlier decisions (its own claim never gates it), and the
+  /// machine's arrival. Cross-workflow availability is layered on top by
+  /// the session's peek/acquire.
+  [[nodiscard]] sim::Time machine_free_before(
+      grid::ResourceId resource,
+      std::uint64_t seq = std::numeric_limits<std::uint64_t>::max()) const;
   /// Nominal completion time used by the decision heuristics.
   [[nodiscard]] sim::Time completion_time(dag::JobId job,
                                           grid::ResourceId resource,
@@ -156,71 +142,35 @@ class DynamicExecution : public SessionParticipant {
   /// Ready jobs no visible machine can host right now wait for the next
   /// pool change; a pool that never changes again fails the run.
   void defer_dispatch(sim::Time now);
-  /// Terminal graceful failure: drops every queued reservation and fires
-  /// the completion callback once with a failed result (fresh event).
-  void fail_run(const std::string& reason);
   void assign(dag::JobId job, grid::ResourceId resource, sim::Time now);
-  /// Starts the job at `start` (records the input transfers that began
-  /// at the decision, commits the ledger reservation, applies the load
-  /// stretch, schedules the completion). Transfers are recorded here —
-  /// when the placement is final — not at decision time, so a held
+  /// Starts the job at `start` through the core, after recording the
+  /// input transfers that began at the decision. Transfers are recorded
+  /// here — when the placement is final — not at decision time, so a held
   /// dispatch abandoned before starting (machine departure) leaves no
   /// phantom transfer records in the trace.
   void start_assignment(dag::JobId job, grid::ResourceId resource,
-                        double nominal, sim::Time start,
-                        sim::Time decided_at);
-  void record_input_transfers(dag::JobId job, grid::ResourceId resource,
-                              sim::Time decided_at);
+                        sim::Time start, sim::Time decided_at);
   /// Re-arbitrates one held dispatch: commits when the grant matured,
   /// re-holds (and re-arms the retry) when it moved.
   void retry_held(dag::JobId job);
   void schedule_retry(dag::JobId job, sim::Time when);
-  void complete(dag::JobId job, grid::ResourceId resource, sim::Time start,
-                sim::Time finish);
+  void complete(dag::JobId job);
 
-  SimulationSession* session_;
-  const dag::Dag* dag_;
-  const grid::CostProvider* actual_;
-  const grid::ResourcePool* pool_;
-  const grid::LoadProfile* load_;
-  sim::TraceRecorder* trace_;
+  ExecutorCore core_;
   DynamicHeuristic heuristic_;
   bool contention_aware_ = false;
-  /// The session's resilience config when active; null keeps the
-  /// historical hard-abort paths bit-identical.
-  const resilience::ResilienceConfig* resilience_ = nullptr;
 
   sim::Time release_ = sim::kTimeZero;
   Completion done_;
-  bool failed_ = false;
-  std::string failure_reason_;
   sim::Time deferred_until_ = -1.0;  ///< pending pool-change retry (dedup)
 
-  Schedule schedule_;
-  std::vector<bool> finished_;
-  std::vector<grid::ResourceId> location_;
-  std::vector<sim::Time> aft_;
   std::vector<std::uint32_t> pending_preds_;
   std::vector<dag::JobId> ready_;
-  std::map<grid::ResourceId, sim::Time> avail_;
   std::map<dag::JobId, HeldDispatch> held_;
   std::uint64_t next_decision_seq_ = 0;
-  std::size_t finished_count_ = 0;
   std::size_t batches_ = 0;
-  sim::Time makespan_ = sim::kTimeZero;
   sim::Time planned_finish_ = sim::kTimeZero;
 };
-
-/// Simulates a full just-in-time execution of `dag` over the dynamic pool
-/// in a private session. New resources are used by any job that becomes
-/// ready after they arrive. `load` optionally stretches realized run
-/// times (the decision loop keeps using nominal costs).
-[[nodiscard]] DynamicRunResult run_dynamic(
-    const dag::Dag& dag, const grid::CostProvider& actual,
-    const grid::ResourcePool& pool,
-    DynamicHeuristic heuristic = DynamicHeuristic::kMinMin,
-    sim::TraceRecorder* trace = nullptr,
-    const grid::LoadProfile* load = nullptr);
 
 }  // namespace aheft::core
 

@@ -1,7 +1,6 @@
 #include "core/execution_engine.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "support/assert.h"
 
@@ -12,17 +11,8 @@ ExecutionEngine::ExecutionEngine(sim::Simulator& simulator,
                                  const grid::CostProvider& actual,
                                  const grid::ResourcePool& pool,
                                  sim::TraceRecorder* trace)
-    : simulator_(&simulator),
-      dag_(&dag),
-      actual_(&actual),
-      pool_(&pool),
-      trace_(trace),
-      jobs_(dag.job_count()),
-      done_frac_(dag.job_count(), 0.0),
-      restart_debt_(dag.job_count(), 0.0),
-      edge_arrivals_(dag.edge_count()) {
-  AHEFT_REQUIRE(dag.finalized(), "DAG must be finalized");
-}
+    : core_(simulator, dag, actual, pool, trace),
+      edge_arrivals_(dag.edge_count()) {}
 
 ExecutionEngine::ExecutionEngine(SimulationSession& session,
                                  const dag::Dag& dag,
@@ -30,12 +20,7 @@ ExecutionEngine::ExecutionEngine(SimulationSession& session,
                                  double priority)
     : ExecutionEngine(session.simulator(), dag, actual, session.pool(),
                       session.trace()) {
-  load_ = session.load();
-  session_ = &session;
-  if (session.resilience().active()) {
-    resilience_ = &session.resilience();
-  }
-  session.add_participant(this, priority);
+  core_.join(session, this, priority, /*restartable=*/true);
 }
 
 void ExecutionEngine::contention_changed(grid::ResourceId resource) {
@@ -62,8 +47,8 @@ void ExecutionEngine::record_arrival(std::size_t edge_index,
 sim::Time ExecutionEngine::ensure_transfer(std::size_t edge_index,
                                            grid::ResourceId target,
                                            sim::Time when) {
-  const dag::Edge& edge = dag_->edges()[edge_index];
-  const JobState& producer = jobs_[edge.from];
+  const dag::Edge& edge = core_.dag().edges()[edge_index];
+  const ExecutorCore::JobState& producer = core_.job(edge.from);
   AHEFT_ASSERT(producer.phase == Phase::kFinished,
                "transfer initiated before producer finished");
   auto& per_edge = edge_arrivals_[edge_index];
@@ -71,38 +56,39 @@ sim::Time ExecutionEngine::ensure_transfer(std::size_t edge_index,
     return it->second;  // already there or already in flight
   }
   // Transfer start depends on the file-movement model; see TransferPolicy.
-  const double c = actual_->comm_cost(edge, producer.resource, target);
+  const double c = core_.actual().comm_cost(edge, producer.resource, target);
   sim::Time start = when;
   sim::Time arrival = when + c;
   switch (transfer_policy_) {
     case TransferPolicy::kRetransmitFromClock:
       break;  // leaves now
     case TransferPolicy::kEagerReplicate:
-      start = std::max(producer.aft, pool_->resource(target).arrival);
+      start = std::max(producer.aft, core_.pool().resource(target).arrival);
       arrival = start + c;
       break;
     case TransferPolicy::kPrestagedArrivals:
       arrival =
-          std::max(producer.aft + c, pool_->resource(target).arrival);
+          std::max(producer.aft + c, core_.pool().resource(target).arrival);
       start = arrival - c;
       break;
   }
   per_edge[target] = arrival;
-  if (trace_ != nullptr && arrival > start) {
-    trace_->record_transfer(edge.from, edge.to, target, start, arrival);
+  if (core_.trace() != nullptr && arrival > start) {
+    core_.trace()->record_transfer(edge.from, edge.to, target, start, arrival);
   }
   return arrival;
 }
 
 void ExecutionEngine::submit(const Schedule& schedule) {
-  AHEFT_REQUIRE(schedule.job_count() == dag_->job_count(),
+  const dag::Dag& dag = core_.dag();
+  AHEFT_REQUIRE(schedule.job_count() == dag.job_count(),
                 "schedule sized for a different DAG");
   AHEFT_REQUIRE(schedule.complete(), "submitted schedule must be complete");
-  AHEFT_REQUIRE(!failed_, "schedule submitted to a failed workflow");
-  const sim::Time now = simulator_->now();
+  AHEFT_REQUIRE(!core_.failed(), "schedule submitted to a failed workflow");
+  const sim::Time now = core_.simulator().now();
 
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    JobState& state = jobs_[i];
+  for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+    const ExecutorCore::JobState& state = core_.job(i);
     const Assignment& next = schedule.assignment(i);
     switch (state.phase) {
       case Phase::kFinished:
@@ -111,29 +97,19 @@ void ExecutionEngine::submit(const Schedule& schedule) {
                          sim::time_eq(next.finish, state.aft),
                      "reschedule rewrote history of a finished job");
         break;
-      case Phase::kRunning: {
-        const bool kept = next.resource == state.resource &&
-                          sim::time_eq(next.start, state.ast);
-        if (!kept) {
+      case Phase::kRunning:
+        if (next.resource != state.resource ||
+            !sim::time_eq(next.start, state.ast)) {
           // The planner replanned this running job: cancel and restart
           // (keeping only checkpointed progress, if any). The machine
           // frees now, so the ledger's committed reservation is truncated
           // to the cancellation instead of blocking competitors until the
           // cancelled job's projected finish.
-          const bool cancelled = simulator_->cancel(state.completion);
+          const bool cancelled = core_.cancel_segment(i, /*revoked=*/false);
           AHEFT_ASSERT(cancelled, "running job had no completion event");
-          account_interrupted_segment(i, now);
-          if (session_ != nullptr) {
-            session_->truncate_commit(this, state.resource, /*tag=*/i, now);
-          }
-          if (trace_ != nullptr) {
-            trace_->record_compute(i, state.resource, state.ast, now);
-          }
-          state = JobState{};
           ++restarts_;
         }
         break;
-      }
       case Phase::kPending:
         break;
     }
@@ -147,19 +123,18 @@ void ExecutionEngine::submit(const Schedule& schedule) {
 
   // Retransmit outputs of finished producers toward consumers that moved
   // (FEA case 2: the copy cannot leave before `now`).
-  for (std::size_t e = 0; e < dag_->edge_count(); ++e) {
-    const dag::Edge& edge = dag_->edges()[e];
-    if (jobs_[edge.from].phase != Phase::kFinished ||
-        jobs_[edge.to].phase == Phase::kFinished) {
+  for (std::size_t e = 0; e < dag.edge_count(); ++e) {
+    const dag::Edge& edge = dag.edges()[e];
+    if (core_.job(edge.from).phase != Phase::kFinished ||
+        core_.job(edge.to).phase == Phase::kFinished) {
       continue;
     }
     ensure_transfer(e, schedule_.assignment(edge.to).resource, now);
   }
 
   rebuild_queues();
-  // A pump can restructure or clear queues_ mid-loop (kFail tears the
-  // whole map down, a requeue fails over), so iterate a snapshot of the
-  // keys; pump() re-finds its queue and no-ops on vanished resources.
+  // A pump can add queues mid-loop (a requeue fails over), so iterate a
+  // snapshot of the keys; pump() re-finds its queue.
   std::vector<grid::ResourceId> to_pump;
   to_pump.reserve(queues_.size());
   for (const auto& [resource, queue] : queues_) {
@@ -173,23 +148,18 @@ void ExecutionEngine::submit(const Schedule& schedule) {
 void ExecutionEngine::rebuild_queues() {
   queues_.clear();
   queue_pos_.clear();
-  resource_free_.clear();
   pending_pump_.clear();
-  if (session_ != nullptr) {
+  if (core_.session() != nullptr) {
     // A reschedule may have moved the queue heads: drop the pending
     // acquisitions so stale requests cannot gate competing workflows;
     // the post-rebuild pumps re-register the live ones.
-    session_->withdraw_all(this);
+    core_.session()->withdraw_all(this);
   }
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    const JobState& state = jobs_[i];
-    const Assignment& a = schedule_.assignment(i);
-    if (state.phase == Phase::kPending) {
-      queues_[a.resource].push_back(i);
-    } else if (state.phase == Phase::kRunning) {
-      // The machine stays busy until the running job's projected finish.
-      auto& free_at = resource_free_[state.resource];
-      free_at = std::max(free_at, state.aft);
+  // The machines stay busy until their running jobs' projected finishes.
+  core_.recompute_busy();
+  for (dag::JobId i = 0; i < core_.dag().job_count(); ++i) {
+    if (core_.job(i).phase == Phase::kPending) {
+      queues_[schedule_.assignment(i).resource].push_back(i);
     }
   }
   for (auto& [resource, queue] : queues_) {
@@ -207,7 +177,7 @@ void ExecutionEngine::rebuild_queues() {
 }
 
 void ExecutionEngine::pump(grid::ResourceId resource) {
-  if (failed_) {
+  if (core_.failed()) {
     return;
   }
   const auto queue_it = queues_.find(resource);
@@ -216,11 +186,13 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
   }
   const std::vector<dag::JobId>& queue = queue_it->second;
   std::size_t& pos = queue_pos_[resource];
-  const sim::Time now = simulator_->now();
+  const dag::Dag& dag = core_.dag();
+  sim::Simulator& simulator = core_.simulator();
+  const sim::Time now = simulator.now();
 
   while (pos < queue.size()) {
     const dag::JobId job = queue[pos];
-    const JobState& state = jobs_[job];
+    const ExecutorCore::JobState& state = core_.job(job);
     if (state.phase == Phase::kFinished ||
         schedule_.assignment(job).resource != resource) {
       ++pos;  // stale entry after a reschedule or a requeue
@@ -231,43 +203,37 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
 
     // (a) inputs present on this resource?
     sim::Time ready = sim::kTimeZero;
-    for (const std::uint32_t e : dag_->in_edges(job)) {
-      const dag::Edge& edge = dag_->edges()[e];
-      if (jobs_[edge.from].phase != Phase::kFinished) {
+    for (const std::uint32_t e : dag.in_edges(job)) {
+      const dag::Edge& edge = dag.edges()[e];
+      if (core_.job(edge.from).phase != Phase::kFinished) {
         return;  // producer pending/running: its completion re-pumps us
       }
       const auto& arrivals = edge_arrivals_[e];
       const auto it = arrivals.find(resource);
       AHEFT_ASSERT(it != arrivals.end(),
-                   "input of " + dag_->job(job).name +
+                   "input of " + dag.job(job).name +
                        " was never transferred to its resource");
       ready = std::max(ready, it->second);
     }
 
     // (b) machine free, (c) machine present.
-    const grid::Resource& machine = pool_->resource(resource);
-    sim::Time start = std::max({ready, machine.arrival, now});
-    if (const auto free_it = resource_free_.find(resource);
-        free_it != resource_free_.end()) {
-      start = std::max(start, free_it->second);
-    }
+    sim::Time start =
+        std::max({ready, core_.pool().resource(resource).arrival, now,
+                  core_.busy_until(resource)});
     // (d) the session's contention policy grants the machine slot
     //     (arbitrating against the other workflows' bookings and pending
     //     requests; under FCFS the grant is just their bookings).
-    if (session_ != nullptr) {
-      double request = actual_->compute_cost(job, resource);
-      if (resilience_ != nullptr) {
-        request = requeue_occupancy(job, resource);
-      }
-      start = session_->acquire(this, resource, start, request,
-                                /*tag=*/job);
+    if (core_.session() != nullptr) {
+      start = core_.session()->acquire(this, resource, start,
+                                       core_.occupancy(job, resource),
+                                       /*tag=*/job);
     }
 
     if (start > now) {
       // Try again when the gating time is reached (deduplicated).
       auto& pending = pending_pump_[resource];
       if (pending == 0 || pending > start) {
-        simulator_->schedule_at(start, [this, resource] {
+        simulator.schedule_at(start, [this, resource] {
           pending_pump_[resource] = 0;
           pump(resource);
         });
@@ -277,133 +243,54 @@ void ExecutionEngine::pump(grid::ResourceId resource) {
     }
 
     if (!start_job(job, resource)) {
-      return;  // queues restructured (fail/requeue): scan state is stale
+      return;  // failed or requeued: scan state is stale
     }
     ++pos;
   }
 }
 
-double ExecutionEngine::requeue_occupancy(dag::JobId job,
-                                          grid::ResourceId resource) const {
-  return restart_debt_[job] +
-         resilience::segment_occupancy(
-             resilience_->checkpoint,
-             actual_->compute_cost(job, resource) * (1.0 - done_frac_[job]));
-}
-
 bool ExecutionEngine::start_job(dag::JobId job, grid::ResourceId resource) {
-  const sim::Time now = simulator_->now();
-  const grid::Resource& machine = pool_->resource(resource);
-  double duration = actual_->compute_cost(job, resource);
-  double work = duration;
-  double debt = 0.0;
-  double writes = 0.0;
-  if (resilience_ != nullptr) {
-    // The segment attempts the job's remaining fraction, pays any restart
-    // read debt up front, and interleaves checkpoint writes.
-    work = duration * (1.0 - done_frac_[job]);
-    debt = restart_debt_[job];
-    const double occupancy =
-        resilience::segment_occupancy(resilience_->checkpoint, work);
-    writes = occupancy - work;
-    duration = debt + occupancy;
-  }
-  double factor = 1.0;
-  if (load_ != nullptr) {
-    factor = load_->factor(resource, now);
-    AHEFT_ASSERT(factor > 0.0,
-                 "load factor must be positive on " + machine.name);
-    duration *= factor;
-  }
-  const bool fits = sim::time_le(now + duration, machine.departure);
-
-  if (resilience_ == nullptr ||
-      resilience_->departure_action == resilience::DepartureAction::kError) {
-    if (load_ != nullptr && !fits) {
-      // The planner fits jobs against nominal costs, so a load spike can
-      // legitimately stretch one past a finite departure window. Without
-      // restart semantics switched on that is a scenario the engine
-      // cannot honor, not an internal invariant violation — report it as
-      // such.
-      throw std::runtime_error(
-          "load-stretched job " + dag_->job(job).name + " (" +
-          std::to_string(duration) + " units at factor " +
-          std::to_string(factor) + ") would outlive resource " +
-          machine.name +
-          ": scenarios combining load segments with finite departures "
-          "need restart semantics (unsupported; see ROADMAP)");
-    }
-    AHEFT_ASSERT(fits, "job " + dag_->job(job).name +
-                           " would outlive resource " + machine.name);
-  } else if (!fits) {
-    if (resilience_->departure_action == resilience::DepartureAction::kFail) {
-      fail_workflow("job " + dag_->job(job).name + " would outlive resource " +
-                    machine.name);
+  const sim::Time now = core_.simulator().now();
+  const ExecutorCore::Start started = core_.start_segment(
+      job, resource, now, [this](dag::JobId ended, bool at_wall) {
+        if (!at_wall) {
+          complete_job(ended);
+          return;
+        }
+        // The machine departed under the job (kRequeue ran it to the
+        // wall): salvage checkpointed progress and requeue.
+        core_.hit_wall(ended);
+        requeue_job(ended, core_.simulator().now());
+      });
+  switch (started) {
+    case ExecutorCore::Start::kCompletes:
+    case ExecutorCore::Start::kRunsToWall:
+      return true;
+    case ExecutorCore::Start::kFailed:
       return false;
-    }
-    // kRequeue: the departure is a failure the job does not foresee.
-    if (sim::time_le(machine.departure, now)) {
-      // The machine is already gone; nothing can run here. Withdraw the
-      // pending acquisition and move the job elsewhere.
-      if (session_ != nullptr) {
-        session_->withdraw(this, resource, /*tag=*/job);
-      }
+    case ExecutorCore::Start::kGone:
+      // Withdraw the pending acquisition and move the job elsewhere.
+      core_.session()->withdraw(this, resource, /*tag=*/job);
       requeue_job(job, now);
       return false;
-    }
   }
-
-  JobState& state = jobs_[job];
-  state.phase = Phase::kRunning;
-  state.resource = resource;
-  state.ast = now;
-  state.load_factor = factor;
-  state.segment_work = work;
-  state.segment_debt = debt;
-  state.segment_writes = writes;
-  if (resilience_ != nullptr) {
-    restart_debt_[job] = 0.0;  // consumed into this segment
-  }
-  if (fits) {
-    state.aft = now + duration;
-    state.completion = simulator_->schedule_at(
-        state.aft, [this, job] { complete_job(job); });
-  } else {
-    // Run to the wall: the job is interrupted by the departure and keeps
-    // only its checkpointed floor progress.
-    state.aft = machine.departure;
-    state.completion = simulator_->schedule_at(
-        state.aft, [this, job] { hit_departure(job); });
-  }
-  auto& free_at = resource_free_[resource];
-  free_at = std::max(free_at, state.aft);
-  if (session_ != nullptr) {
-    session_->commit(this, resource, /*tag=*/job, state.ast, state.aft);
-  }
-  return true;
+  return false;
 }
 
 void ExecutionEngine::complete_job(dag::JobId job) {
-  JobState& state = jobs_[job];
-  AHEFT_ASSERT(state.phase == Phase::kRunning, "completion of non-running job");
-  state.phase = Phase::kFinished;
-  ++finished_count_;
-  makespan_ = std::max(makespan_, state.aft);
-  useful_work_ += state.segment_work;
-  checkpoint_overhead_ += state.segment_debt + state.segment_writes;
-  if (trace_ != nullptr) {
-    trace_->record_compute(job, state.resource, state.ast, state.aft);
-  }
+  core_.finish_segment(job);
+  const ExecutorCore::JobState& state = core_.job(job);
+  const dag::Dag& dag = core_.dag();
 
   // Push outputs to wherever the current schedule placed the consumers
   // (static file-transfer model), and keep a copy at the producer. All
   // transfers are recorded before any consumer is pumped, otherwise a pump
   // triggered by one edge could observe another edge's missing arrival.
   std::vector<grid::ResourceId> to_pump;
-  for (const std::uint32_t e : dag_->out_edges(job)) {
-    const dag::Edge& edge = dag_->edges()[e];
+  for (const std::uint32_t e : dag.out_edges(job)) {
+    const dag::Edge& edge = dag.edges()[e];
     record_arrival(e, state.resource, state.aft);
-    if (jobs_[edge.to].phase != Phase::kFinished) {
+    if (core_.job(edge.to).phase != Phase::kFinished) {
       const grid::ResourceId target = schedule_.assignment(edge.to).resource;
       ensure_transfer(e, target, state.aft);
       to_pump.push_back(target);
@@ -418,108 +305,45 @@ void ExecutionEngine::complete_job(dag::JobId job) {
   }
 }
 
-void ExecutionEngine::account_interrupted_segment(dag::JobId job,
-                                                  sim::Time at) {
-  JobState& state = jobs_[job];
-  // Wall-clock elapsed back to nominal units (the segment composition is
-  // nominal; the load factor stretched it uniformly).
-  const double elapsed =
-      std::max(at - state.ast, sim::kTimeZero) / state.load_factor;
-  const double debt_paid = std::min(elapsed, state.segment_debt);
-  checkpoint_overhead_ += debt_paid;
-  resilience::SegmentProgress progress;
-  if (resilience_ != nullptr) {
-    progress = resilience::segment_progress(
-        resilience_->checkpoint, elapsed - debt_paid, state.segment_work);
-  } else {
-    progress.lost = elapsed - debt_paid;  // no checkpoints: all redone
-  }
-  checkpoint_overhead_ += progress.overhead;
-  lost_work_ += progress.lost;
-  if (progress.retained > 0.0) {
-    useful_work_ += progress.retained;
-    // Retained work is in this machine's nominal units; fold it into the
-    // machine-independent completed fraction. Strictly < 1: a segment's
-    // retainable work is capped below its full remainder.
-    const double total = actual_->compute_cost(job, state.resource);
-    done_frac_[job] = std::min(done_frac_[job] + progress.retained / total,
-                               1.0);
-  }
-  restart_debt_[job] =
-      (resilience_ != nullptr && resilience_->checkpoint.enabled &&
-       done_frac_[job] > 0.0)
-          ? resilience_->checkpoint.read_cost
-          : 0.0;
-}
-
-void ExecutionEngine::hit_departure(dag::JobId job) {
-  JobState& state = jobs_[job];
-  AHEFT_ASSERT(state.phase == Phase::kRunning,
-               "departure hit a non-running job");
-  const sim::Time now = simulator_->now();
-  account_interrupted_segment(job, now);
-  if (trace_ != nullptr) {
-    trace_->record_compute(job, state.resource, state.ast, now);
-  }
-  // The committed ledger window ends exactly at the wall — no truncation
-  // needed; the machine is gone either way.
-  ++revoked_jobs_;
-  state = JobState{};
-  requeue_job(job, now);
-}
-
 bool ExecutionEngine::revoke_committed(grid::ResourceId resource,
                                        std::uint64_t tag) {
-  if (resilience_ == nullptr || failed_ || !has_schedule_ ||
-      tag >= jobs_.size()) {
+  if (!core_.restartable() || core_.failed() || !has_schedule_ ||
+      tag >= core_.dag().job_count()) {
     return false;
   }
-  const dag::JobId job = static_cast<dag::JobId>(tag);
-  JobState& state = jobs_[job];
+  const auto job = static_cast<dag::JobId>(tag);
+  const ExecutorCore::JobState& state = core_.job(job);
   if (state.phase != Phase::kRunning || state.resource != resource) {
     return false;
   }
-  if (!simulator_->cancel(state.completion)) {
-    return false;  // completing this very instant: nothing left to take
+  // Completing this very instant leaves nothing to take.
+  if (!core_.cancel_segment(job, /*revoked=*/true)) {
+    return false;
   }
-  const sim::Time now = simulator_->now();
-  account_interrupted_segment(job, now);
-  // Truncating carries the job's first-feasible baseline into its
-  // re-registration, so the eviction does not zero its fair-share wait.
-  session_->truncate_commit(this, resource, tag, now, /*carry_baseline=*/true);
-  if (trace_ != nullptr) {
-    trace_->record_compute(job, resource, state.ast, now);
-  }
-  if (const auto it = resource_free_.find(resource);
-      it != resource_free_.end() && it->second > now) {
-    it->second = now;  // the machine frees under the evicted job
-  }
-  ++revoked_jobs_;
-  state = JobState{};
-  requeue_job(job, now);
+  requeue_job(job, core_.simulator().now());
   return true;
 }
 
 void ExecutionEngine::requeue_job(dag::JobId job, sim::Time now) {
-  if (failed_) {
+  if (core_.failed()) {
     return;
   }
-  if (!session_->may_revoke(this, /*tag=*/job)) {
-    fail_workflow("job " + dag_->job(job).name +
-                  " exceeded the per-job revocation cap");
+  const std::string& name = core_.dag().job(job).name;
+  SimulationSession& session = *core_.session();
+  if (!session.may_revoke(this, /*tag=*/job)) {
+    core_.fail("job " + name + " exceeded the per-job revocation cap");
     return;
   }
-  session_->record_revocation(this, /*tag=*/job);
+  session.record_revocation(this, /*tag=*/job);
   const grid::ResourceId target = choose_requeue_target(job, now);
   if (target == grid::kInvalidResource) {
-    fail_workflow("no machine left to requeue job " + dag_->job(job).name +
-                  " on");
+    core_.fail("no machine left to requeue job " + name + " on");
     return;
   }
   reassign(job, target, now);
   // The job was at (or past) its start: every producer has finished, so
   // its inputs retransmit toward the new machine from now.
-  for (const std::uint32_t e : dag_->in_edges(job)) {
+  for (const std::uint32_t e : core_.dag().in_edges(job)) {
     ensure_transfer(e, target, now);
   }
   queues_[target].push_back(job);
@@ -532,22 +356,18 @@ grid::ResourceId ExecutionEngine::choose_requeue_target(dag::JobId job,
   sim::Time best_finish = sim::kTimeInfinity;
   grid::ResourceId fallback = grid::kInvalidResource;
   sim::Time fallback_departure = now;
-  for (const grid::Resource& machine : pool_->all()) {
+  for (const grid::Resource& machine : core_.pool().all()) {
     if (machine.arrival == sim::kTimeInfinity) {
       continue;  // masked: owned by another shard of the session
     }
     if (sim::time_le(machine.departure, now)) {
       continue;  // already departed
     }
-    const double occupancy = requeue_occupancy(job, machine.id);
-    sim::Time start = std::max(now, machine.arrival);
-    if (const auto it = resource_free_.find(machine.id);
-        it != resource_free_.end()) {
-      start = std::max(start, it->second);
-    }
-    if (session_ != nullptr) {
-      start = session_->peek(this, machine.id, start, occupancy);
-    }
+    const double occupancy = core_.occupancy(job, machine.id);
+    const sim::Time start = core_.session()->peek(
+        this, machine.id,
+        std::max({now, machine.arrival, core_.busy_until(machine.id)}),
+        occupancy);
     const sim::Time finish = start + occupancy;
     if (sim::time_le(finish, machine.departure)) {
       if (finish < best_finish) {
@@ -564,72 +384,37 @@ grid::ResourceId ExecutionEngine::choose_requeue_target(dag::JobId job,
 
 void ExecutionEngine::reassign(dag::JobId job, grid::ResourceId target,
                                sim::Time now) {
-  const grid::Resource& machine = pool_->resource(target);
-  Schedule next(dag_->job_count());
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
+  const std::size_t jobs = core_.dag().job_count();
+  Schedule next(jobs);
+  for (dag::JobId i = 0; i < jobs; ++i) {
     if (i != job) {
       next.assign(schedule_.assignment(i));
     }
   }
   // Plan the remainder after the target's planned work; the pump applies
   // the real gating (inputs, machine free, contention grant) at start.
-  sim::Time start = std::max(now, machine.arrival);
+  sim::Time start = std::max(now, core_.pool().resource(target).arrival);
   for (const Assignment& slot : next.timeline(target)) {
     start = std::max(start, slot.finish);
   }
-  next.assign(
-      Assignment{job, target, start, start + requeue_occupancy(job, target)});
+  next.assign(Assignment{job, target, start,
+                         start + core_.occupancy(job, target)});
   schedule_ = std::move(next);
 }
 
-void ExecutionEngine::fail_workflow(const std::string& reason) {
-  if (failed_) {
-    return;
-  }
-  failed_ = true;
-  failure_reason_ = reason;
-  const sim::Time now = simulator_->now();
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    JobState& state = jobs_[i];
-    if (state.phase != Phase::kRunning) {
-      continue;
-    }
-    if (!simulator_->cancel(state.completion)) {
-      continue;  // completes this very instant: let it finish
-    }
-    account_interrupted_segment(i, now);
-    if (session_ != nullptr) {
-      session_->truncate_commit(this, state.resource, /*tag=*/i, now);
-    }
-    if (trace_ != nullptr) {
-      trace_->record_compute(i, state.resource, state.ast, now);
-    }
-    state = JobState{};
-  }
-  queues_.clear();
-  queue_pos_.clear();
-  pending_pump_.clear();
-  if (session_ != nullptr) {
-    session_->withdraw_all(this);
-  }
-  makespan_ = std::max(makespan_, now);
-  if (failure_hook_) {
-    failure_hook_(failure_reason_);
-  }
-}
-
 ExecutionSnapshot ExecutionEngine::snapshot() const {
-  ExecutionSnapshot snap(simulator_->now(), dag_->job_count(),
-                         dag_->edge_count());
-  for (dag::JobId i = 0; i < dag_->job_count(); ++i) {
-    const JobState& state = jobs_[i];
+  const dag::Dag& dag = core_.dag();
+  ExecutionSnapshot snap(core_.simulator().now(), dag.job_count(),
+                         dag.edge_count());
+  for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+    const ExecutorCore::JobState& state = core_.job(i);
     if (state.phase == Phase::kFinished) {
       snap.mark_finished(i, FinishedInfo{state.resource, state.ast, state.aft});
     } else if (state.phase == Phase::kRunning) {
       snap.add_running(RunningInfo{i, state.resource, state.ast, state.aft});
     }
   }
-  for (std::size_t e = 0; e < dag_->edge_count(); ++e) {
+  for (std::size_t e = 0; e < dag.edge_count(); ++e) {
     for (const auto& [resource, when] : edge_arrivals_[e]) {
       snap.record_arrival(e, resource, when);
     }

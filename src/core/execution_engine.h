@@ -7,35 +7,37 @@
 // successors are scheduled on (static file-transfer model). File transfers
 // consume time but no compute.
 //
+// The engine is the plan-following front end of the shared ExecutorCore
+// (core/executor_core.h), which owns the job lifecycle from start to
+// completion, revocation or failure. What stays here is plan following:
+// per-resource queues in plan order, the static transfer model, submit
+// and replan, and requeue.
+//
 // submit() accepts both the initial schedule and mid-run replacements
 // (the Planner's adopted reschedules). On replacement, running jobs that
 // were replanned are cancelled and restarted, finished producers' outputs
 // are retransmitted from the current time to any consumer that moved
 // (mirroring FEA case 2), and per-resource queues are rebuilt.
 //
-// Resilience (session environments with an active ResilienceConfig):
-// a job that loses its machine mid-run — a finite departure its
-// load-stretched duration cannot beat, or a fair-share preemption — keeps
-// only the work its checkpoints saved (see resilience/checkpoint_model.h)
-// and requeues its remainder on another machine through the normal
-// acquire/commit lifecycle. The inactive default config leaves every
-// simulated event bit-identical to the pre-resilience engine.
+// Resilience (session environments with an active ResilienceConfig): a
+// job that loses its machine mid-run — a finite departure its
+// load-stretched duration cannot beat, or a fair-share preemption —
+// requeues its remainder on another machine through the normal
+// acquire/commit lifecycle.
 #ifndef AHEFT_CORE_EXECUTION_ENGINE_H_
 #define AHEFT_CORE_EXECUTION_ENGINE_H_
 
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
+#include "core/executor_core.h"
 #include "core/schedule.h"
 #include "core/session.h"
 #include "core/snapshot.h"
 #include "dag/dag.h"
 #include "grid/cost_provider.h"
-#include "grid/load_profile.h"
 #include "grid/resource_pool.h"
-#include "resilience/checkpoint_model.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 
@@ -63,37 +65,18 @@ class ExecutionEngine : public SessionParticipant {
   /// remaining work.
   void submit(const Schedule& schedule);
 
-  [[nodiscard]] bool finished() const {
-    return finished_count_ == dag_->job_count();
-  }
-  [[nodiscard]] sim::Time makespan() const { return makespan_; }
-  [[nodiscard]] std::size_t finished_count() const { return finished_count_; }
+  [[nodiscard]] bool finished() const { return core_.finished(); }
+  [[nodiscard]] sim::Time makespan() const { return core_.makespan(); }
   /// Number of running jobs cancelled and restarted by reschedules.
   [[nodiscard]] std::size_t restarted_jobs() const { return restarts_; }
+  /// The job lifecycle: per-job state, resilience accounting, failure.
+  [[nodiscard]] const ExecutorCore& core() const { return core_; }
 
-  /// Resilience accounting (nominal machine-seconds; all zero when the
-  /// session's resilience config is inactive and no reschedule cancelled
-  /// a running job). "Useful" work is work that counted toward a
-  /// completion or survived in a checkpoint image; "lost" work is redone.
-  [[nodiscard]] std::size_t revoked_jobs() const { return revoked_jobs_; }
-  [[nodiscard]] double lost_work() const { return lost_work_; }
-  [[nodiscard]] double checkpoint_overhead() const {
-    return checkpoint_overhead_;
-  }
-  [[nodiscard]] double useful_work() const { return useful_work_; }
-
-  /// Whether the workflow failed terminally (departure under kFail, the
-  /// per-job revocation cap, or no machine left to requeue on). A failed
-  /// engine never reaches finished(); its queues are drained and its
-  /// running work truncated.
-  [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] const std::string& failure_reason() const {
-    return failure_reason_;
-  }
-  /// Callback fired exactly once when the workflow fails terminally.
-  using FailureHook = std::function<void(const std::string&)>;
-  void set_failure_hook(FailureHook hook) {
-    failure_hook_ = std::move(hook);
+  /// Callback fired exactly once when the workflow fails terminally. A
+  /// failed engine never reaches finished(); its running work is
+  /// truncated and its queues stop pumping.
+  void set_failure_hook(std::function<void()> hook) {
+    core_.set_failure_hook(std::move(hook));
   }
 
   [[nodiscard]] const Schedule& current_schedule() const;
@@ -111,18 +94,6 @@ class ExecutionEngine : public SessionParticipant {
   /// File-movement model; must match the planner's (see TransferPolicy).
   void set_transfer_policy(TransferPolicy policy) {
     transfer_policy_ = policy;
-  }
-  [[nodiscard]] TransferPolicy transfer_policy() const {
-    return transfer_policy_;
-  }
-
-  /// Time-varying effective cost scaling (trace/volatility scenarios): a
-  /// job started at time t on resource j realizes
-  /// compute_cost(i, j) * load->factor(j, t). Null means nominal costs.
-  /// The profile must outlive the engine.
-  void set_load_profile(const grid::LoadProfile* load) { load_ = load; }
-  [[nodiscard]] const grid::LoadProfile* load_profile() const {
-    return load_;
   }
 
   // SessionParticipant: a competing reservation on `resource` committed,
@@ -146,21 +117,7 @@ class ExecutionEngine : public SessionParticipant {
   bool revoke_committed(grid::ResourceId resource, std::uint64_t tag) override;
 
  private:
-  enum class Phase { kPending, kRunning, kFinished };
-  struct JobState {
-    Phase phase = Phase::kPending;
-    grid::ResourceId resource = grid::kInvalidResource;
-    sim::Time ast = sim::kTimeZero;
-    sim::Time aft = sim::kTimeZero;  ///< completion (projected while running)
-    sim::EventId completion = 0;
-    // The running segment's composition, fixed at start (nominal units;
-    // wall clock = nominal * load_factor). Interruption accounting
-    // decomposes the elapsed occupancy against these.
-    double load_factor = 1.0;
-    double segment_work = 0.0;    ///< useful work this segment attempts
-    double segment_debt = 0.0;    ///< restart read cost paid up front
-    double segment_writes = 0.0;  ///< checkpoint writes if run to term
-  };
+  using Phase = ExecutorCore::Phase;
 
   void rebuild_queues();
   void pump(grid::ResourceId resource);
@@ -172,17 +129,10 @@ class ExecutionEngine : public SessionParticipant {
                             sim::Time when);
   /// Starts `job` on `resource` now, or — under an active resilience
   /// config — converts a doomed start into a fail/run-to-the-wall/requeue.
-  /// Returns false when the engine's queues were restructured (the caller
-  /// must abandon its queue scan).
+  /// Returns false when the job did not start (the workflow failed or
+  /// the job moved): the caller must abandon its queue scan.
   bool start_job(dag::JobId job, grid::ResourceId resource);
   void complete_job(dag::JobId job);
-  /// A running job's machine departed under it (DepartureAction::kRequeue
-  /// ran it to the wall): salvage checkpointed progress and requeue.
-  void hit_departure(dag::JobId job);
-  /// Splits the elapsed occupancy of `job`'s running segment at `at` into
-  /// retained / overhead / lost work, updating the accounting counters,
-  /// the job's completed fraction, and its restart debt.
-  void account_interrupted_segment(dag::JobId job, sim::Time at);
   /// Routes a revoked job's remainder back through the lifecycle: checks
   /// the per-job revocation cap, picks a target machine, rewrites the
   /// schedule slot, retransmits inputs, and pumps the target's queue.
@@ -197,53 +147,17 @@ class ExecutionEngine : public SessionParticipant {
   /// Rewrites `job`'s schedule slot onto `target` after that timeline's
   /// planned work (the other slots are untouched).
   void reassign(dag::JobId job, grid::ResourceId target, sim::Time now);
-  /// Terminal failure: truncates running work, drains the queues, and
-  /// fires the failure hook once.
-  void fail_workflow(const std::string& reason);
-  /// Machine time `job`'s remaining work occupies on `resource`: restart
-  /// read debt plus the checkpoint-interleaved remainder.
-  [[nodiscard]] double requeue_occupancy(dag::JobId job,
-                                         grid::ResourceId resource) const;
 
-  sim::Simulator* simulator_;
-  const dag::Dag* dag_;
-  const grid::CostProvider* actual_;
-  const grid::ResourcePool* pool_;
-  sim::TraceRecorder* trace_;
-  const grid::LoadProfile* load_ = nullptr;
-  SimulationSession* session_ = nullptr;  ///< contention; null standalone
-  /// The session's resilience config when active; null keeps the engine
-  /// on the bit-identical historical paths.
-  const resilience::ResilienceConfig* resilience_ = nullptr;
-
+  ExecutorCore core_;
   Schedule schedule_;
   bool has_schedule_ = false;
-  std::vector<JobState> jobs_;
-  /// Fraction of each job's total work persisted by checkpoints. Kept as
-  /// a fraction (not absolute units) because compute costs differ per
-  /// machine: a requeue realizes the remaining fraction at the new
-  /// machine's own cost.
-  std::vector<double> done_frac_;
-  /// Checkpoint read cost owed when each job next starts (a prior image
-  /// exists); cleared once paid.
-  std::vector<double> restart_debt_;
   EdgeArrivals edge_arrivals_;
   std::map<grid::ResourceId, std::vector<dag::JobId>> queues_;
   std::map<grid::ResourceId, std::size_t> queue_pos_;
-  std::map<grid::ResourceId, sim::Time> resource_free_;
   std::map<grid::ResourceId, sim::Time> pending_pump_;
-  std::size_t finished_count_ = 0;
   std::size_t restarts_ = 0;
-  std::size_t revoked_jobs_ = 0;
-  double lost_work_ = 0.0;
-  double checkpoint_overhead_ = 0.0;
-  double useful_work_ = 0.0;
-  bool failed_ = false;
-  std::string failure_reason_;
-  sim::Time makespan_ = sim::kTimeZero;
   sim::Time initial_plan_makespan_ = sim::kTimeZero;
   CompletionHook hook_;
-  FailureHook failure_hook_;
   TransferPolicy transfer_policy_ = TransferPolicy::kRetransmitFromClock;
 };
 

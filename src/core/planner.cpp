@@ -36,7 +36,7 @@ AdaptivePlanner::AdaptivePlanner(const dag::Dag& dag,
 }
 
 void AdaptivePlanner::evaluate(const std::string& reason, bool forced) {
-  if (engine_->finished() || engine_->failed()) {
+  if (engine_->finished() || engine_->core().failed()) {
     return;
   }
   sim::Simulator& simulator = session_->simulator();
@@ -145,7 +145,7 @@ void AdaptivePlanner::start() {
   // cap, or no machine left) ends the workflow like a completion would —
   // in a fresh event, so the failing pump unwinds before the completion
   // callback can reshape the session.
-  engine_->set_failure_hook([this](const std::string& /*reason*/) {
+  engine_->set_failure_hook([this] {
     sim::Simulator& simulator = session_->simulator();
     simulator.schedule_at(simulator.now(), [this] {
       if (!completed_) {
@@ -219,17 +219,8 @@ void AdaptivePlanner::start() {
 void AdaptivePlanner::finish() {
   AHEFT_ASSERT(!completed_, "planner finished twice");
   completed_ = true;
-  result_.makespan = engine_->makespan();
+  engine_->core().report(result_);
   result_.restarts = engine_->restarted_jobs();
-  result_.revoked_jobs = engine_->revoked_jobs();
-  result_.lost_work = engine_->lost_work();
-  result_.checkpoint_overhead = engine_->checkpoint_overhead();
-  result_.useful_work = engine_->useful_work();
-  result_.failed = engine_->failed();
-  result_.failure_reason = engine_->failure_reason();
-  const ContentionStats stats = session_->contention_stats(engine_.get());
-  result_.contention_wait = stats.total_wait;
-  result_.max_contention_wait = stats.max_wait;
   result_.final_schedule = engine_->current_schedule();
   if (done_) {
     done_(result_);

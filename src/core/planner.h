@@ -85,7 +85,7 @@ struct AdaptiveResult {
   /// policy (zero for uncontended runs).
   double contention_wait = 0.0;
   double max_contention_wait = 0.0;
-  /// Resilience accounting (see ExecutionEngine): revocations absorbed,
+  /// Resilience accounting (see ExecutorCore): revocations absorbed,
   /// nominal machine-seconds redone / spent on checkpoints / retained.
   std::size_t revoked_jobs = 0;
   double lost_work = 0.0;

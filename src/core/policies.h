@@ -33,11 +33,9 @@ enum class RunningJobPolicy { kRestartable, kKeepRunning };
 ///  - kPrestagedArrivals: like kEagerReplicate, but a joining resource
 ///    syncs with the grid's data fabric as part of joining, so files
 ///    produced earlier are available max(AFT + c, arrival) — i.e. a copy
-///    effectively left at production time. This is the reading implied by
-///    the paper's published numbers: the Fig. 5(b) schedule has n5's input
-///    landing on r4 at t = 20 = AFT + c although r4 joined at 15, and
-///    Table 3's large high-CCR gains require migrations that do not pay a
-///    full post-arrival transfer.
+///    effectively left at production time. The Fig. 5(b) schedule reads
+///    this way: n5's input lands on r4 at t = 20 = AFT + c although r4
+///    joined at 15.
 enum class TransferPolicy {
   kRetransmitFromClock,
   kEagerReplicate,
@@ -62,8 +60,7 @@ struct SchedulerConfig {
   double rank_tie_fraction = 0.05;
   /// File-movement model shared by the planner's FEA (Eq. 1 Case 2) and
   /// the executor. Defaults to the paper's literal Eq. 1 constraint; the
-  /// optimistic models are ablation knobs (see EXPERIMENTS.md for why the
-  /// paper's own numbers imply one of them).
+  /// two optimistic models are ablation knobs.
   TransferPolicy transfer_policy = TransferPolicy::kRetransmitFromClock;
 };
 

@@ -128,20 +128,15 @@ class DynamicDriver final : public StrategyDriver {
       const std::lock_guard<std::mutex> lock(mutex_);
       launches_.push_back(std::move(owned));
     }
-    execution->launch(
-        options.release,
-        [done = std::move(done)](const DynamicRunResult& result) {
-          if (done) {
-            StrategyOutcome outcome;
-            outcome.makespan = result.makespan;
-            outcome.evaluations = result.batches;
-            outcome.contention_wait = result.contention_wait;
-            outcome.max_contention_wait = result.max_contention_wait;
-            outcome.failed = result.failed;
-            outcome.failure_reason = result.failure_reason;
-            done(outcome);
-          }
-        });
+    execution->launch(options.release,
+                      [done = std::move(done)](const DynamicExecution& run) {
+                        if (done) {
+                          StrategyOutcome outcome;
+                          run.core().report(outcome);
+                          outcome.evaluations = run.batches();
+                          done(outcome);
+                        }
+                      });
   }
 
  private:

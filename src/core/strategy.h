@@ -54,10 +54,11 @@ struct StrategyOutcome {
   /// acquisition. Zero for uncontended runs.
   double contention_wait = 0.0;
   double max_contention_wait = 0.0;
-  /// Resilience accounting (planner strategies; the dynamic baseline has
-  /// no restart machinery and reports zeros): jobs revoked mid-run,
-  /// nominal machine-seconds redone / spent on checkpoint traffic /
-  /// retained as useful progress.
+  /// Resilience accounting from the shared ExecutorCore, for every
+  /// strategy: jobs revoked mid-run, nominal machine-seconds redone /
+  /// spent on checkpoint traffic / retained as useful progress. The
+  /// dynamic baseline never checkpoints or requeues, so its overhead and
+  /// revocations stay zero and a terminal failure's cut work is lost.
   std::size_t revoked_jobs = 0;
   double lost_work = 0.0;
   double checkpoint_overhead = 0.0;

@@ -222,17 +222,6 @@ void set_scenario_source(std::vector<CaseSpec>& specs,
   }
 }
 
-void set_stream(std::vector<CaseSpec>& specs, std::size_t jobs,
-                double interarrival_mean) {
-  AHEFT_REQUIRE(jobs > 0, "a workflow stream needs at least one instance");
-  AHEFT_REQUIRE(interarrival_mean > 0.0,
-                "stream interarrival mean must be positive");
-  for (CaseSpec& spec : specs) {
-    spec.stream_jobs = jobs;
-    spec.stream_interarrival = interarrival_mean;
-  }
-}
-
 void set_contention_policy(std::vector<CaseSpec>& specs,
                            std::string_view policy) {
   // Validate eagerly so a typo'd --contention-policy fails before the
@@ -253,14 +242,6 @@ void set_contention_aware(std::vector<CaseSpec>& specs,
                           bool contention_aware) {
   for (CaseSpec& spec : specs) {
     spec.contention_aware = contention_aware;
-  }
-}
-
-void set_resilience(std::vector<CaseSpec>& specs,
-                    const resilience::ResilienceConfig& config) {
-  resilience::validate(config);
-  for (CaseSpec& spec : specs) {
-    spec.resilience = config;
   }
 }
 

@@ -60,13 +60,6 @@ void set_scenario_source(std::vector<CaseSpec>& specs,
                          std::string_view trace_path = {},
                          std::string_view archive_path = {});
 
-/// Applies the multi-DAG stream axis to every spec: `jobs` concurrent
-/// workflow instances with the given mean inter-arrival gap. Specs
-/// carrying a stream axis are meant for run_stream_case — run_case
-/// rejects them (jobs > 1) rather than silently ignoring the axis.
-void set_stream(std::vector<CaseSpec>& specs, std::size_t jobs,
-                double interarrival_mean = 400.0);
-
 /// Applies a contention-policy axis to every spec: the benches'
 /// --contention-policy=NAME knob. Throws std::invalid_argument when the
 /// policy is not registered.
@@ -82,11 +75,6 @@ void set_backfill(std::vector<CaseSpec>& specs, bool backfill);
 /// session ledger's availability snapshot).
 void set_contention_aware(std::vector<CaseSpec>& specs,
                           bool contention_aware);
-
-/// Applies a resilience-config axis to every spec (validated eagerly so
-/// inconsistent knobs fail before the sweep starts).
-void set_resilience(std::vector<CaseSpec>& specs,
-                    const resilience::ResilienceConfig& config);
 
 }  // namespace aheft::exp
 

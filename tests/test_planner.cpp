@@ -27,7 +27,9 @@ TEST(Planner, StaticRunRealizesTheInitialPlan) {
 TEST(Planner, Fig5AdoptionRealizesPublished76) {
   const auto scenario = workloads::sample_scenario(15.0);
   PlannerConfig config;
-  config.scheduler.order_candidates = 8;  // see DESIGN.md: one tie swap
+  // Fig. 5(b) swaps two near-tied adjacent jobs of strict upward-rank
+  // order; exploring a few swapped orders finds it.
+  config.scheduler.order_candidates = 8;
   AdaptivePlanner planner(scenario.dag, scenario.model, scenario.model,
                           scenario.pool, config);
   const AdaptiveResult result = planner.run();

@@ -2,14 +2,18 @@
 // segment occupancy, interrupted-segment decomposition), config
 // validation, revocation bookkeeping in the ledger (truncate_commit
 // carrying wait baselines into the requeue, revoking around a two-phase
-// hold), and EventQueue cancel/compaction under revocation churn.
+// hold), EventQueue cancel/compaction under revocation churn, and the
+// executors' work accounting against their traces.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/resource_ledger.h"
+#include "core/strategy.h"
+#include "helpers.h"
 #include "resilience/checkpoint_model.h"
 #include "sim/event_queue.h"
 
@@ -356,6 +360,61 @@ TEST(EventQueueChurn, CancelledHeadNeverFires) {
   EXPECT_TRUE(kept_ran);
   EXPECT_TRUE(queue.empty());
 }
+
+// ---------------------------------------------------------------------
+// Accounting conservation: every machine-second an executor occupied is
+// useful, lost, or checkpoint overhead — for all three strategies.
+
+class AccountingConservation
+    : public ::testing::TestWithParam<std::tuple<core::StrategyKind, bool>> {
+};
+
+TEST_P(AccountingConservation, WorkSplitsSumToTheComputeIntervals) {
+  const auto [kind, resilient] = GetParam();
+  for (const std::uint64_t seed : {11u, 22u, 33u, 44u}) {
+    const test::RandomCase c = test::make_random_case(seed);
+    // Every other machine departs mid-run, so checkpoint writes can push
+    // a planned job past its window and fail the workflow.
+    grid::ResourcePool pool;
+    for (grid::Resource machine : c.pool.all()) {
+      if (machine.id % 2 == 1) {
+        machine.departure = machine.arrival + 400.0;
+      }
+      pool.add(machine);
+    }
+    sim::TraceRecorder trace;
+    core::SessionEnvironment env;
+    env.pool = &pool;
+    env.trace = &trace;
+    if (resilient) {
+      env.resilience.departure_action = resilience::DepartureAction::kFail;
+      env.resilience.checkpoint.enabled = true;
+      env.resilience.checkpoint.write_cost = 0.5;
+      env.resilience.checkpoint.read_cost = 0.5;
+      env.resilience.checkpoint.mtbf = 250.0;
+    }
+    const core::StrategyOutcome outcome = core::run_strategy(
+        kind, c.workload.dag, c.model, c.model, env);
+    double busy = 0.0;
+    for (const sim::TraceInterval& interval : trace.intervals()) {
+      if (interval.kind == sim::IntervalKind::kCompute) {
+        busy += interval.end - interval.start;
+      }
+    }
+    ASSERT_GT(busy, 0.0) << "seed " << seed;
+    EXPECT_NEAR(
+        outcome.useful_work + outcome.lost_work + outcome.checkpoint_overhead,
+        busy, 1e-9 * busy)
+        << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, AccountingConservation,
+    ::testing::Combine(::testing::Values(core::StrategyKind::kStaticHeft,
+                                         core::StrategyKind::kAdaptiveAheft,
+                                         core::StrategyKind::kDynamic),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace aheft

@@ -83,9 +83,9 @@ struct CollisionCase {
 
 // --------------------------------------------------- session equivalence --
 
-/// The classic per-strategy entry points (the planner's own run(), the
-/// one-call dynamic simulation) must produce the identical result as the
-/// unified session path: same makespan, same counters.
+/// The planner's classic entry point, its own run(), must produce the
+/// identical result as the unified session path: same makespan, same
+/// counters.
 TEST(Session, ClassicEntryPointsMatchRunStrategy) {
   const test::RandomCase c = test::make_random_case(99);
   SessionEnvironment env;
@@ -99,13 +99,6 @@ TEST(Session, ClassicEntryPointsMatchRunStrategy) {
   EXPECT_EQ(aheft_old.evaluations, aheft_new.evaluations);
   EXPECT_EQ(aheft_old.adoptions, aheft_new.adoptions);
   EXPECT_EQ(aheft_old.restarts, aheft_new.restarts);
-
-  const DynamicRunResult dyn_old =
-      run_dynamic(c.workload.dag, c.model, c.pool);
-  const StrategyOutcome dyn_new = run_strategy(
-      StrategyKind::kDynamic, c.workload.dag, c.model, c.model, env);
-  EXPECT_DOUBLE_EQ(dyn_old.makespan, dyn_new.makespan);
-  EXPECT_EQ(dyn_old.batches, dyn_new.evaluations);
 }
 
 /// The planner's own run() (a private session) and an explicit launch
