@@ -40,6 +40,12 @@ BenchCase make_case(std::size_t jobs, std::size_t resources) {
   return BenchCase{std::move(w), std::move(pool), std::move(model)};
 }
 
+/// Eq. 1 evaluations of one full pass: sum of in-degrees (the edge count)
+/// times the visible resources, so planner rates read per edge x resource.
+std::int64_t edge_resource_pairs(const BenchCase& c, std::size_t visible) {
+  return static_cast<std::int64_t>(c.workload.dag.edges().size() * visible);
+}
+
 void BM_UpwardRanks(benchmark::State& state) {
   const BenchCase c = make_case(static_cast<std::size_t>(state.range(0)), 20);
   const auto visible = c.pool.available_at(0.0);
@@ -59,8 +65,9 @@ void BM_HeftSchedule(benchmark::State& state) {
     benchmark::DoNotOptimize(
         core::heft_schedule(c.workload.dag, c.model, c.pool));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(c.workload.dag.job_count()));
+  state.SetItemsProcessed(
+      state.iterations() *
+      edge_resource_pairs(c, c.pool.count_available_at(0.0)));
 }
 BENCHMARK(BM_HeftSchedule)
     ->Args({20, 10})
@@ -90,6 +97,8 @@ void BM_AheftMidRunReschedule(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::aheft_schedule(request));
   }
+  state.SetItemsProcessed(state.iterations() *
+                          edge_resource_pairs(c, request.resources.size()));
 }
 BENCHMARK(BM_AheftMidRunReschedule)->Arg(20)->Arg(100)->Arg(500);
 

@@ -22,16 +22,12 @@ int main(int argc, char** argv) {
 
   AsciiTable table({"CCR", "avg HEFT", "avg AHEFT", "improvement",
                     "paper"});
-  std::size_t row = 0;
   for (const auto& [ccr, stats] : groups) {
-    const std::string paper =
-        row < exp::paper::kTable3Improvement.size()
-            ? format_percent(exp::paper::kTable3Improvement[row])
-            : "-";
     table.add_row({format_double(ccr, 1), format_double(stats.heft.mean(), 0),
                    format_double(stats.aheft.mean(), 0),
-                   format_percent(stats.improvement()), paper});
-    ++row;
+                   format_percent(stats.improvement()),
+                   bench::paper_percent(exp::kCcrValues,
+                                        exp::paper::kTable3Improvement, ccr)});
   }
   std::cout << table.to_string() << "\n"
             << "Expected shape: improvement grows with CCR.\n";

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "exp/paper_params.h"
 #include "exp/paper_ref.h"
 
 using namespace aheft;
@@ -22,16 +23,13 @@ int main(int argc, char** argv) {
 
   AsciiTable table({"jobs", "avg HEFT", "avg AHEFT", "improvement",
                     "paper"});
-  std::size_t row = 0;
   for (const auto& [jobs, stats] : groups) {
-    const std::string paper =
-        row < exp::paper::kTable4Improvement.size()
-            ? format_percent(exp::paper::kTable4Improvement[row])
-            : "-";
     table.add_row({format_double(jobs, 0), format_double(stats.heft.mean(), 0),
                    format_double(stats.aheft.mean(), 0),
-                   format_percent(stats.improvement()), paper});
-    ++row;
+                   format_percent(stats.improvement()),
+                   bench::paper_percent(exp::kRandomJobs,
+                                        exp::paper::kTable4Improvement,
+                                        jobs)});
   }
   std::cout << table.to_string() << "\n"
             << "Expected shape: improvement rises initially, then "

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "exp/paper_params.h"
 #include "exp/paper_ref.h"
 
 using namespace aheft;
@@ -30,21 +31,14 @@ int main(int argc, char** argv) {
           stats.improvement();
     }
   }
-  std::size_t row = 0;
   for (const auto& [n, blast_improvement] : blast_rows) {
-    const std::string paper_blast =
-        row < exp::paper::kTable7Blast.size()
-            ? format_percent(exp::paper::kTable7Blast[row])
-            : "-";
-    const std::string paper_wien =
-        row < exp::paper::kTable7Wien2k.size()
-            ? format_percent(exp::paper::kTable7Wien2k[row])
-            : "-";
-    table.add_row({format_double(n, 0), format_percent(blast_improvement),
-                   paper_blast,
-                   wien_rows.count(n) ? format_percent(wien_rows[n]) : "-",
-                   paper_wien});
-    ++row;
+    table.add_row(
+        {format_double(n, 0), format_percent(blast_improvement),
+         bench::paper_percent(exp::kAppParallelism, exp::paper::kTable7Blast,
+                              n),
+         wien_rows.count(n) ? format_percent(wien_rows[n]) : "-",
+         bench::paper_percent(exp::kAppParallelism, exp::paper::kTable7Wien2k,
+                              n)});
   }
   std::cout << table.to_string() << "\n"
             << "Expected shape: improvement grows with N for both "

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "exp/paper_params.h"
 #include "exp/paper_ref.h"
 
 using namespace aheft;
@@ -29,21 +30,13 @@ int main(int argc, char** argv) {
           stats.improvement();
     }
   }
-  std::size_t row = 0;
   for (const auto& [ccr, blast_improvement] : blast_rows) {
-    const std::string paper_blast =
-        row < exp::paper::kTable8Blast.size()
-            ? format_percent(exp::paper::kTable8Blast[row])
-            : "-";
-    const std::string paper_wien =
-        row < exp::paper::kTable8Wien2k.size()
-            ? format_percent(exp::paper::kTable8Wien2k[row])
-            : "-";
-    table.add_row({format_double(ccr, 1), format_percent(blast_improvement),
-                   paper_blast,
-                   wien_rows.count(ccr) ? format_percent(wien_rows[ccr]) : "-",
-                   paper_wien});
-    ++row;
+    table.add_row(
+        {format_double(ccr, 1), format_percent(blast_improvement),
+         bench::paper_percent(exp::kCcrValues, exp::paper::kTable8Blast, ccr),
+         wien_rows.count(ccr) ? format_percent(wien_rows[ccr]) : "-",
+         bench::paper_percent(exp::kCcrValues, exp::paper::kTable8Wien2k,
+                              ccr)});
   }
   std::cout << table.to_string() << "\n"
             << "Expected shape: BLAST sensitive to CCR, WIEN2K flat.\n";

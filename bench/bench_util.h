@@ -33,6 +33,7 @@
 #ifndef AHEFT_BENCH_BENCH_UTIL_H_
 #define AHEFT_BENCH_BENCH_UTIL_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -408,6 +409,22 @@ inline exp::CaseSpec with_cli_environment(exp::CaseSpec spec,
     spec = std::move(one.front());
   }
   return spec;
+}
+
+/// The published figure, as a percentage, for the table row whose axis
+/// value is `value`: its position on the paper's `axis` picks the entry
+/// of `published`, so a thinned sweep (smoke keeps only the extremes)
+/// still pairs each row with its own figure. "-" off the paper's axis.
+template <typename T, std::size_t N>
+std::string paper_percent(const std::array<T, N>& axis,
+                          const std::array<double, N>& published,
+                          double value) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (static_cast<double>(axis[i]) == value) {
+      return format_percent(published[i]);
+    }
+  }
+  return "-";
 }
 
 inline void print_header(const std::string& title,

@@ -95,9 +95,14 @@ Schedule cpop_schedule(const dag::Dag& dag,
   request.availability = availability;
 
   Schedule result(dag.job_count());
+  std::vector<EdgeInput> inputs;  // the current job's resolved in-edges
   while (!ready.empty()) {
     const dag::JobId job = ready.top();
     ready.pop();
+    inputs.clear();
+    for (const std::uint32_t e : dag.in_edges(job)) {
+      inputs.push_back(resolve_edge_input(request, e, result));
+    }
 
     grid::ResourceId best_resource = grid::kInvalidResource;
     sim::Time best_finish = sim::kTimeInfinity;
@@ -114,9 +119,9 @@ Schedule cpop_schedule(const dag::Dag& dag,
       for (const grid::ResourceId r : candidates) {
         const grid::Resource& machine = pool.resource(r);
         sim::Time ready_time = sim::kTimeZero;
-        for (const std::uint32_t e : dag.in_edges(job)) {
+        for (const EdgeInput& input : inputs) {
           ready_time =
-              std::max(ready_time, file_available(request, e, r, result));
+              std::max(ready_time, edge_available(request, input, r));
         }
         const double w = estimates.compute_cost(job, r);
         const sim::Time start = result.earliest_slot(

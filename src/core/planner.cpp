@@ -201,15 +201,22 @@ void AdaptivePlanner::start() {
 
   // Subscribe to every later resource-pool change (arrivals, departures).
   if (config_.react_to_pool_changes) {
+    // Departures make the current plan infeasible for jobs mapped to the
+    // lost resource, so adoption is forced at any time some machine
+    // departs. One pass over the pool settles that for every event.
+    std::vector<sim::Time> departures;
+    for (const grid::Resource& machine : pool_.all()) {
+      departures.push_back(machine.departure);
+    }
+    std::sort(departures.begin(), departures.end());
     for (const sim::Time when :
          pool_.change_times(release_, sim::kTimeInfinity)) {
-      session_->simulator().schedule_at(when, [this, when] {
+      const bool forced =
+          std::binary_search(departures.begin(), departures.end(), when);
+      session_->simulator().schedule_at(when, [this, forced] {
         if (completed_) {
           return;
         }
-        // Departures make the current plan infeasible for jobs mapped to
-        // the lost resource, so adoption is forced in that case.
-        const bool forced = !pool_.departures_at(when).empty();
         evaluate(forced ? "resource-departure" : "resource-arrival", forced);
       });
     }

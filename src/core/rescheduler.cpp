@@ -83,10 +83,27 @@ Schedule schedule_in_order(const RescheduleRequest& request,
   std::vector<bool> pinned;
   Schedule result = pin_history(request, pinned);
 
+  // The current job's in-edges, resolved once before its resource loops;
+  // one buffer serves every job of the pass.
+  std::vector<EdgeInput> inputs;
+  // Inner max of Eq. 2: all inputs present on r.
+  const auto data_ready = [&](grid::ResourceId r) {
+    sim::Time ready = sim::kTimeZero;
+    for (const EdgeInput& input : inputs) {
+      ready = std::max(ready, edge_available(request, input, r));
+    }
+    return ready;
+  };
+
   for (const dag::JobId job : order) {
     if (pinned[job]) {
       continue;
     }
+    inputs.clear();
+    for (const std::uint32_t e : dag.in_edges(job)) {
+      inputs.push_back(resolve_edge_input(request, e, result));
+    }
+
     grid::ResourceId best_resource = grid::kInvalidResource;
     sim::Time best_start = sim::kTimeInfinity;
     sim::Time best_finish = sim::kTimeInfinity;
@@ -107,13 +124,7 @@ Schedule schedule_in_order(const RescheduleRequest& request,
         // avail[j]: a resource is usable from its arrival, and never
         // before the rescheduling clock.
         const sim::Time not_before = std::max(request.clock, machine.arrival);
-
-        // Inner max of Eq. 2: all inputs present on r.
-        sim::Time ready = sim::kTimeZero;
-        for (const std::uint32_t e : dag.in_edges(job)) {
-          ready = std::max(ready, file_available(request, e, r, result));
-        }
-
+        const sim::Time ready = data_ready(r);
         const double w = est.compute_cost(job, r);
         const sim::Time start =
             result.earliest_slot(r, ready, w, request.config.slot_policy,
@@ -166,10 +177,7 @@ Schedule schedule_in_order(const RescheduleRequest& request,
       for (const grid::ResourceId r : request.resources) {
         const grid::Resource& machine = request.pool->resource(r);
         const sim::Time not_before = std::max(request.clock, machine.arrival);
-        sim::Time ready = sim::kTimeZero;
-        for (const std::uint32_t e : dag.in_edges(job)) {
-          ready = std::max(ready, file_available(request, e, r, result));
-        }
+        const sim::Time ready = data_ready(r);
         const double w = est.compute_cost(job, r);
         const sim::Time start =
             result.earliest_slot(r, ready, w, request.config.slot_policy,
@@ -197,37 +205,17 @@ Schedule schedule_in_order(const RescheduleRequest& request,
 
 }  // namespace
 
-sim::Time file_available(const RescheduleRequest& request,
-                         std::size_t edge_index, grid::ResourceId target,
-                         const Schedule& new_schedule) {
+EdgeInput resolve_edge_input(const RescheduleRequest& request,
+                             std::size_t edge_index,
+                             const Schedule& new_schedule) {
   const dag::Dag& dag = *request.dag;
   const dag::Edge& edge = dag.edges()[edge_index];
   const dag::JobId producer = edge.from;
-  const grid::CostProvider& est = *request.estimates;
 
   if (request.snapshot != nullptr && request.snapshot->finished(producer)) {
     const FinishedInfo& info = request.snapshot->finished_info(producer);
-    // Case 1 / "otherwise with finished n_m": the output already sits on
-    // (or is in flight to) `target` because of schedule S0.
-    const auto& arrivals = request.snapshot->arrivals(edge_index);
-    if (const auto it = arrivals.find(target); it != arrivals.end()) {
-      return it->second;
-    }
-    // Case 2: finished, but the output was never directed to `target`.
-    const double c = est.comm_cost(edge, info.resource, target);
-    const grid::Resource& machine = request.pool->resource(target);
-    switch (request.config.transfer_policy) {
-      case TransferPolicy::kRetransmitFromClock:
-        // "The file transmission can not be earlier than clock."
-        return request.clock + c;
-      case TransferPolicy::kEagerReplicate:
-        // The copy left at max(AFT, target arrival).
-        return std::max(info.aft, machine.arrival) + c;
-      case TransferPolicy::kPrestagedArrivals:
-        // A joining resource syncs previously produced files on arrival.
-        return std::max(info.aft + c, machine.arrival);
-    }
-    return request.clock + c;
+    return EdgeInput{&edge, info.resource, info.aft,
+                     &request.snapshot->arrivals(edge_index)};
   }
 
   // Unfinished predecessor: it is pinned or already placed in S1 (rank
@@ -236,11 +224,50 @@ sim::Time file_available(const RescheduleRequest& request,
                "predecessor " + dag.job(producer).name +
                    " not yet placed — rank order violated");
   const Assignment& placed = new_schedule.assignment(producer);
-  if (placed.resource == target) {
-    return placed.finish;  // Case 3
+  return EdgeInput{&edge, placed.resource, placed.finish, nullptr};
+}
+
+sim::Time edge_available(const RescheduleRequest& request,
+                         const EdgeInput& input, grid::ResourceId target) {
+  const grid::CostProvider& est = *request.estimates;
+
+  if (input.arrivals != nullptr) {
+    // Case 1 / "otherwise with finished n_m": the output already sits on
+    // (or is in flight to) `target` because of schedule S0.
+    if (const auto it = input.arrivals->find(target);
+        it != input.arrivals->end()) {
+      return it->second;
+    }
+    // Case 2: finished, but the output was never directed to `target`.
+    const double c = est.comm_cost(*input.edge, input.resource, target);
+    switch (request.config.transfer_policy) {
+      case TransferPolicy::kRetransmitFromClock:
+        // "The file transmission can not be earlier than clock."
+        return request.clock + c;
+      case TransferPolicy::kEagerReplicate:
+        // The copy left at max(AFT, target arrival).
+        return std::max(input.finish, request.pool->resource(target).arrival) +
+               c;
+      case TransferPolicy::kPrestagedArrivals:
+        // A joining resource syncs previously produced files on arrival.
+        return std::max(input.finish + c,
+                        request.pool->resource(target).arrival);
+    }
+    return request.clock + c;
+  }
+
+  if (input.resource == target) {
+    return input.finish;  // Case 3
   }
   // Otherwise: output follows the (new) schedule with one transfer.
-  return placed.finish + est.comm_cost(edge, placed.resource, target);
+  return input.finish + est.comm_cost(*input.edge, input.resource, target);
+}
+
+sim::Time file_available(const RescheduleRequest& request,
+                         std::size_t edge_index, grid::ResourceId target,
+                         const Schedule& new_schedule) {
+  return edge_available(
+      request, resolve_edge_input(request, edge_index, new_schedule), target);
 }
 
 Schedule aheft_schedule(const RescheduleRequest& request) {

@@ -8,6 +8,7 @@
 #ifndef AHEFT_CORE_RESCHEDULER_H_
 #define AHEFT_CORE_RESCHEDULER_H_
 
+#include <map>
 #include <span>
 #include <vector>
 
@@ -65,9 +66,35 @@ struct RescheduleRequest {
 /// S1.makespan() is therefore the predicted makespan of the whole workflow.
 [[nodiscard]] Schedule aheft_schedule(const RescheduleRequest& request);
 
-/// The earliest time n_m's output can feed n_i on resource r (Eq. 1).
-/// Exposed for unit tests; `new_schedule` is the S1 under construction
-/// (already holding n_m for unfinished predecessors).
+/// The producer side of Eq. 1 for one in-edge (m, i): everything FEA
+/// needs that does not depend on the target resource. A pass resolves a
+/// job's in-edges once, then evaluates them per candidate resource.
+struct EdgeInput {
+  const dag::Edge* edge = nullptr;
+  /// Where n_m ran (finished) or is placed in S1 (unfinished).
+  grid::ResourceId resource = grid::kInvalidResource;
+  /// AFT(n_m) when finished, else its SFT in S1.
+  sim::Time finish = sim::kTimeZero;
+  /// The snapshot's arrivals of this edge's payload when n_m finished;
+  /// null when n_m is only placed in S1.
+  const std::map<grid::ResourceId, sim::Time>* arrivals = nullptr;
+};
+
+/// Resolves in-edge `edge_index` against the snapshot and `new_schedule`
+/// (the S1 under construction, which must already hold n_m unless n_m
+/// finished in the snapshot).
+[[nodiscard]] EdgeInput resolve_edge_input(const RescheduleRequest& request,
+                                           std::size_t edge_index,
+                                           const Schedule& new_schedule);
+
+/// The target-dependent part of Eq. 1: when `input`'s payload is
+/// available on `target`.
+[[nodiscard]] sim::Time edge_available(const RescheduleRequest& request,
+                                       const EdgeInput& input,
+                                       grid::ResourceId target);
+
+/// The earliest time n_m's output can feed n_i on resource r (Eq. 1):
+/// edge_available over resolve_edge_input. Exposed for unit tests.
 [[nodiscard]] sim::Time file_available(const RescheduleRequest& request,
                                        std::size_t edge_index,
                                        grid::ResourceId target,

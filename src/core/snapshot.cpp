@@ -51,16 +51,6 @@ const FinishedInfo& ExecutionSnapshot::finished_info(dag::JobId job) const {
   return *finished_[job];
 }
 
-std::optional<RunningInfo> ExecutionSnapshot::running_info(
-    dag::JobId job) const {
-  for (const RunningInfo& info : running_) {
-    if (info.job == job) {
-      return info;
-    }
-  }
-  return std::nullopt;
-}
-
 const std::map<grid::ResourceId, sim::Time>& ExecutionSnapshot::arrivals(
     std::size_t edge_index) const {
   AHEFT_REQUIRE(edge_index < arrivals_.size(), "edge index out of range");

@@ -64,7 +64,6 @@ class ExecutionSnapshot {
   [[nodiscard]] const std::vector<RunningInfo>& running() const {
     return running_;
   }
-  [[nodiscard]] std::optional<RunningInfo> running_info(dag::JobId job) const;
 
   [[nodiscard]] const std::map<grid::ResourceId, sim::Time>& arrivals(
       std::size_t edge_index) const;

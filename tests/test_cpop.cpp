@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/cpop.h"
+#include "core/execution_engine.h"
 #include "core/heft.h"
+#include "core/rescheduler.h"
 #include "helpers.h"
+#include "sim/simulator.h"
 #include "workloads/sample.h"
 
 namespace aheft::core {
@@ -55,6 +58,41 @@ TEST(Cpop, EmptyViewIsBitIdenticalOnTheSample) {
                     sim::kTimeZero, &empty);
   test::expect_bit_identical(blind, viewed);
   EXPECT_DOUBLE_EQ(viewed.makespan(), 86.0);
+}
+
+// CPOP planned at a mid-run clock, over the pool as it stands then,
+// shares Eq. 1 with AHEFT: every job starts no earlier than the clock and
+// no earlier than each input can reach its resource.
+TEST(Cpop, MidRunPlanRespectsEq1ReadyTimes) {
+  const test::RandomCase c = test::make_random_case(7);
+  const dag::Dag& dag = c.workload.dag;
+  const Schedule initial = heft_schedule(dag, c.model, c.pool);
+  sim::Simulator sim;
+  ExecutionEngine engine(sim, dag, c.model, c.pool);
+  engine.submit(initial);
+  sim.run_until(initial.makespan() / 2.0);
+  const sim::Time clock = engine.snapshot().clock();
+  ASSERT_GT(clock, 0.0);
+
+  const Schedule s = cpop_schedule(dag, c.model, c.pool, {}, clock);
+  EXPECT_TRUE(s.complete());
+  validate_structure(s, dag, c.model, c.pool);
+
+  RescheduleRequest req;
+  req.dag = &dag;
+  req.estimates = &c.model;
+  req.pool = &c.pool;
+  req.resources = c.pool.available_at(clock);
+  req.clock = clock;
+  for (dag::JobId i = 0; i < dag.job_count(); ++i) {
+    const Assignment& a = s.assignment(i);
+    EXPECT_GE(a.start, clock - sim::kTimeEpsilon);
+    for (const std::uint32_t e : dag.in_edges(i)) {
+      EXPECT_GE(a.start,
+                file_available(req, e, a.resource, s) - sim::kTimeEpsilon)
+          << dag.job(i).name << " starts before its input arrives";
+    }
+  }
 }
 
 class CpopProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -2,6 +2,8 @@
 // replacement semantics, file-transfer bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/execution_engine.h"
 #include "core/heft.h"
 #include "helpers.h"
@@ -73,10 +75,17 @@ TEST(Engine, SnapshotMidRunMatchesReality) {
   EXPECT_TRUE(snap.finished(3));
   EXPECT_EQ(snap.finished_count(), 3u);
   // n2 [27,40) and n5 [28,38) and n6 [26,42) are running.
-  EXPECT_TRUE(snap.running_info(1).has_value());
-  EXPECT_TRUE(snap.running_info(4).has_value());
-  EXPECT_TRUE(snap.running_info(5).has_value());
-  EXPECT_DOUBLE_EQ(snap.running_info(1)->expected_finish, 40.0);
+  const auto running = [&snap](dag::JobId job) {
+    const auto& all = snap.running();
+    return std::find_if(all.begin(), all.end(), [job](const RunningInfo& r) {
+      return r.job == job;
+    });
+  };
+  EXPECT_EQ(snap.running().size(), 3u);
+  ASSERT_NE(running(1), snap.running().end());
+  EXPECT_NE(running(4), snap.running().end());
+  EXPECT_NE(running(5), snap.running().end());
+  EXPECT_DOUBLE_EQ(running(1)->expected_finish, 40.0);
   // n1 -> n2 transfer (edge 0) reached r1 at 9 + 18 = 27.
   const auto& arrivals = snap.arrivals(0);
   ASSERT_TRUE(arrivals.count(0));

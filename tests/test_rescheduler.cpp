@@ -2,11 +2,14 @@
 // worked example, and policy behaviours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/execution_engine.h"
 #include "core/heft.h"
 #include "core/rescheduler.h"
 #include "helpers.h"
 #include "sim/simulator.h"
+#include "support/assert.h"
 #include "workloads/sample.h"
 
 namespace aheft::core {
@@ -318,11 +321,15 @@ TEST_P(ReschedulerProperty, MidRunRescheduleIsConsistent) {
 
   // Complete, and everything not already done starts at/after the clock.
   EXPECT_TRUE(candidate.complete());
+  const auto running = [&snap](dag::JobId job) {
+    return std::any_of(snap.running().begin(), snap.running().end(),
+                       [job](const RunningInfo& r) { return r.job == job; });
+  };
   for (dag::JobId i = 0; i < candidate.job_count(); ++i) {
     if (snap.finished(i)) {
       EXPECT_DOUBLE_EQ(candidate.assignment(i).finish,
                        snap.finished_info(i).aft);
-    } else if (!snap.running_info(i).has_value()) {
+    } else if (!running(i)) {
       EXPECT_GE(candidate.assignment(i).start, pause - sim::kTimeEpsilon);
     }
   }
@@ -337,6 +344,128 @@ TEST_P(ReschedulerProperty, MidRunRescheduleIsConsistent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ReschedulerProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808));
+
+// ----- Eq. 1 oracle on real mid-run snapshots -----------------------------
+
+/// Eq. 1 as a single call per (edge, target), every lookup repeated: the
+/// formulation file_available had before it was split into
+/// resolve_edge_input and edge_available. Kept verbatim as the reference.
+sim::Time reference_file_available(const RescheduleRequest& request,
+                                   std::size_t edge_index,
+                                   grid::ResourceId target,
+                                   const Schedule& new_schedule) {
+  const dag::Dag& dag = *request.dag;
+  const dag::Edge& edge = dag.edges()[edge_index];
+  const dag::JobId producer = edge.from;
+  const grid::CostProvider& est = *request.estimates;
+
+  if (request.snapshot != nullptr && request.snapshot->finished(producer)) {
+    const FinishedInfo& info = request.snapshot->finished_info(producer);
+    const auto& arrivals = request.snapshot->arrivals(edge_index);
+    if (const auto it = arrivals.find(target); it != arrivals.end()) {
+      return it->second;
+    }
+    const double c = est.comm_cost(edge, info.resource, target);
+    const grid::Resource& machine = request.pool->resource(target);
+    switch (request.config.transfer_policy) {
+      case TransferPolicy::kRetransmitFromClock:
+        return request.clock + c;
+      case TransferPolicy::kEagerReplicate:
+        return std::max(info.aft, machine.arrival) + c;
+      case TransferPolicy::kPrestagedArrivals:
+        return std::max(info.aft + c, machine.arrival);
+    }
+    return request.clock + c;
+  }
+
+  AHEFT_ASSERT(new_schedule.assigned(producer),
+               "predecessor " + dag.job(producer).name +
+                   " not yet placed — rank order violated");
+  const Assignment& placed = new_schedule.assignment(producer);
+  if (placed.resource == target) {
+    return placed.finish;
+  }
+  return placed.finish + est.comm_cost(edge, placed.resource, target);
+}
+
+class FileAvailableOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Stops a seeded random case at several clocks and checks Eq. 1 for every
+// transfer policy and every (in-edge, visible resource) pair against the
+// reference, over both producer states: finished in the snapshot (with
+// and without an arrival on the target) and placed in a partial S1.
+TEST_P(FileAvailableOracle, MatchesReferenceOnMidRunSnapshots) {
+  const test::RandomCase c = test::make_random_case(GetParam());
+  const dag::Dag& dag = c.workload.dag;
+  const Schedule initial = heft_schedule(dag, c.model, c.pool);
+  const std::vector<dag::JobId>& topo = dag.topological_order();
+
+  std::size_t finished_arrived = 0;
+  std::size_t finished_not_arrived = 0;
+  std::size_t placed = 0;
+  std::size_t unresolved = 0;
+  for (const double fraction : {0.2, 0.4, 0.6, 0.8}) {
+    sim::Simulator sim;
+    ExecutionEngine engine(sim, dag, c.model, c.pool);
+    engine.submit(initial);
+    sim.run_until(initial.makespan() * fraction);
+    const ExecutionSnapshot snap = engine.snapshot();
+
+    // A partial S1: the unfinished jobs of the first half of a
+    // topological order, at their slots in the running plan.
+    Schedule s1(dag.job_count());
+    for (std::size_t k = 0; k < topo.size() / 2; ++k) {
+      if (!snap.finished(topo[k])) {
+        s1.assign(engine.current_schedule().assignment(topo[k]));
+      }
+    }
+
+    RescheduleRequest req;
+    req.dag = &dag;
+    req.estimates = &c.model;
+    req.pool = &c.pool;
+    req.resources = c.pool.available_at(snap.clock());
+    req.clock = snap.clock();
+    req.snapshot = &snap;
+    req.previous = &engine.current_schedule();
+    for (const TransferPolicy policy :
+         {TransferPolicy::kRetransmitFromClock,
+          TransferPolicy::kEagerReplicate,
+          TransferPolicy::kPrestagedArrivals}) {
+      req.config.transfer_policy = policy;
+      for (std::size_t e = 0; e < dag.edges().size(); ++e) {
+        const dag::JobId producer = dag.edges()[e].from;
+        const bool finished = snap.finished(producer);
+        if (!finished && !s1.assigned(producer)) {
+          EXPECT_THROW((void)file_available(req, e, req.resources.front(), s1),
+                       AssertionError);
+          ++unresolved;
+          continue;
+        }
+        for (const grid::ResourceId r : req.resources) {
+          const sim::Time expected = reference_file_available(req, e, r, s1);
+          // Bit-identical: both sides must evaluate the same expression.
+          EXPECT_EQ(file_available(req, e, r, s1), expected)
+              << "edge " << e << " target " << r << " clock " << req.clock;
+          if (!finished) {
+            ++placed;
+          } else if (snap.arrivals(e).count(r) != 0) {
+            ++finished_arrived;
+          } else {
+            ++finished_not_arrived;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(finished_arrived, 0u);
+  EXPECT_GT(finished_not_arrived, 0u);
+  EXPECT_GT(placed, 0u);
+  EXPECT_GT(unresolved, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FileAvailableOracle,
+                         ::testing::Values(11, 22, 33, 44, 55, 66));
 
 }  // namespace
 }  // namespace aheft::core
