@@ -96,6 +96,10 @@ Schedule cpop_schedule(const dag::Dag& dag,
 
   Schedule result(dag.job_count());
   std::vector<EdgeInput> inputs;  // the current job's resolved in-edges
+  // Critical-path jobs are pinned to the CP processor; others pick the
+  // EFT-minimising resource. Each candidate list has its Eq. 1 row.
+  DataReadyRow all_row(request, resources);
+  DataReadyRow cp_row(request, std::span(&cp_resource, 1));
   while (!ready.empty()) {
     const dag::JobId job = ready.top();
     ready.pop();
@@ -103,29 +107,20 @@ Schedule cpop_schedule(const dag::Dag& dag,
     for (const std::uint32_t e : dag.in_edges(job)) {
       inputs.push_back(resolve_edge_input(request, e, result));
     }
+    DataReadyRow& row = on_cp[job] ? cp_row : all_row;
+    row.fill(inputs);
+    const std::span<const grid::ResourceId> candidates = row.targets();
 
     grid::ResourceId best_resource = grid::kInvalidResource;
     sim::Time best_finish = sim::kTimeInfinity;
     sim::Time best_start = sim::kTimeInfinity;
-    // Critical-path jobs are pinned to the CP processor; others pick the
-    // EFT-minimising resource.
-    std::vector<grid::ResourceId> candidates;
-    if (on_cp[job]) {
-      candidates.push_back(cp_resource);
-    } else {
-      candidates = resources;
-    }
     const auto search = [&](const AvailabilityView* view) {
-      for (const grid::ResourceId r : candidates) {
+      for (std::size_t k = 0; k < candidates.size(); ++k) {
+        const grid::ResourceId r = candidates[k];
         const grid::Resource& machine = pool.resource(r);
-        sim::Time ready_time = sim::kTimeZero;
-        for (const EdgeInput& input : inputs) {
-          ready_time =
-              std::max(ready_time, edge_available(request, input, r));
-        }
         const double w = estimates.compute_cost(job, r);
         const sim::Time start = result.earliest_slot(
-            r, ready_time, w, config.slot_policy,
+            r, row.value(k), w, config.slot_policy,
             std::max(clock, machine.arrival), machine.departure, view);
         if (start == sim::kTimeInfinity) {
           continue;

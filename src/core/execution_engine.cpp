@@ -405,18 +405,13 @@ void ExecutionEngine::reassign(dag::JobId job, grid::ResourceId target,
 ExecutionSnapshot ExecutionEngine::snapshot() const {
   const dag::Dag& dag = core_.dag();
   ExecutionSnapshot snap(core_.simulator().now(), dag.job_count(),
-                         dag.edge_count());
+                         edge_arrivals_);
   for (dag::JobId i = 0; i < dag.job_count(); ++i) {
     const ExecutorCore::JobState& state = core_.job(i);
     if (state.phase == Phase::kFinished) {
       snap.mark_finished(i, FinishedInfo{state.resource, state.ast, state.aft});
     } else if (state.phase == Phase::kRunning) {
       snap.add_running(RunningInfo{i, state.resource, state.ast, state.aft});
-    }
-  }
-  for (std::size_t e = 0; e < dag.edge_count(); ++e) {
-    for (const auto& [resource, when] : edge_arrivals_[e]) {
-      snap.record_arrival(e, resource, when);
     }
   }
   return snap;

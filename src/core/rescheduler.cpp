@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "core/ranking.h"
 #include "support/assert.h"
@@ -86,14 +87,11 @@ Schedule schedule_in_order(const RescheduleRequest& request,
   // The current job's in-edges, resolved once before its resource loops;
   // one buffer serves every job of the pass.
   std::vector<EdgeInput> inputs;
-  // Inner max of Eq. 2: all inputs present on r.
-  const auto data_ready = [&](grid::ResourceId r) {
-    sim::Time ready = sim::kTimeZero;
-    for (const EdgeInput& input : inputs) {
-      ready = std::max(ready, edge_available(request, input, r));
-    }
-    return ready;
-  };
+  // Inner max of Eq. 2 (all inputs present on r) by rows: the visible
+  // set's row serves the primary search, both fallbacks and the
+  // allow_infeasible loop; a kept resource gets a row of its own.
+  DataReadyRow visible(request, request.resources);
+  DataReadyRow kept(request, {});
 
   for (const dag::JobId job : order) {
     if (pinned[job]) {
@@ -103,6 +101,14 @@ Schedule schedule_in_order(const RescheduleRequest& request,
     for (const std::uint32_t e : dag.in_edges(job)) {
       inputs.push_back(resolve_edge_input(request, e, result));
     }
+    bool visible_filled = false;
+    const auto visible_row = [&]() -> const DataReadyRow& {
+      if (!visible_filled) {
+        visible.fill(inputs);
+        visible_filled = true;
+      }
+      return visible;
+    };
 
     grid::ResourceId best_resource = grid::kInvalidResource;
     sim::Time best_start = sim::kTimeInfinity;
@@ -111,24 +117,28 @@ Schedule schedule_in_order(const RescheduleRequest& request,
     // Re-pricing restricts the search to the resource the previous plan
     // chose; the full visible set stays the fallback for jobs whose kept
     // resource became infeasible (departed, or its window filled up).
-    std::vector<grid::ResourceId> kept;
-    if (request.restrict_to_previous &&
-        request.previous->assigned(job)) {
-      kept.push_back(request.previous->assignment(job).resource);
+    const bool keeps =
+        request.restrict_to_previous && request.previous->assigned(job);
+    if (keeps) {
+      const grid::ResourceId r = request.previous->assignment(job).resource;
+      kept.retarget(std::span(&r, 1));
+      kept.fill(inputs);
     }
 
-    const auto search = [&](const std::vector<grid::ResourceId>& candidates,
+    const auto search = [&](const DataReadyRow& row,
                             const AvailabilityView* availability) {
-      for (const grid::ResourceId r : candidates) {
+      const std::span<const grid::ResourceId> candidates = row.targets();
+      for (std::size_t k = 0; k < candidates.size(); ++k) {
+        const grid::ResourceId r = candidates[k];
         const grid::Resource& machine = request.pool->resource(r);
         // avail[j]: a resource is usable from its arrival, and never
         // before the rescheduling clock.
         const sim::Time not_before = std::max(request.clock, machine.arrival);
-        const sim::Time ready = data_ready(r);
         const double w = est.compute_cost(job, r);
         const sim::Time start =
-            result.earliest_slot(r, ready, w, request.config.slot_policy,
-                                 not_before, machine.departure, availability);
+            result.earliest_slot(r, row.value(k), w,
+                                 request.config.slot_policy, not_before,
+                                 machine.departure, availability);
         if (start == sim::kTimeInfinity) {
           continue;  // does not fit in the resource's availability window
         }
@@ -145,8 +155,7 @@ Schedule schedule_in_order(const RescheduleRequest& request,
       }
     };
 
-    const std::vector<grid::ResourceId>& primary =
-        kept.empty() ? request.resources : kept;
+    const DataReadyRow& primary = keeps ? kept : visible_row();
     search(primary, request.availability);
     if (best_resource == grid::kInvalidResource &&
         request.availability != nullptr) {
@@ -156,13 +165,13 @@ Schedule schedule_in_order(const RescheduleRequest& request,
       // rather than declaring a live grid infeasible.
       search(primary, nullptr);
     }
-    if (best_resource == grid::kInvalidResource && !kept.empty()) {
+    if (best_resource == grid::kInvalidResource && keeps) {
       // The kept resource is gone for good (typically departed): let the
       // re-priced plan move this job like a real reschedule would.
-      search(request.resources, request.availability);
+      search(visible_row(), request.availability);
       if (best_resource == grid::kInvalidResource &&
           request.availability != nullptr) {
-        search(request.resources, nullptr);
+        search(visible_row(), nullptr);
       }
     }
 
@@ -174,14 +183,16 @@ Schedule schedule_in_order(const RescheduleRequest& request,
       // that salvages the most checkpointed progress) and let the
       // executor's departure handling take it from there.
       sim::Time best_departure = -sim::kTimeInfinity;
-      for (const grid::ResourceId r : request.resources) {
+      const DataReadyRow& row = visible_row();
+      for (std::size_t k = 0; k < request.resources.size(); ++k) {
+        const grid::ResourceId r = request.resources[k];
         const grid::Resource& machine = request.pool->resource(r);
         const sim::Time not_before = std::max(request.clock, machine.arrival);
-        const sim::Time ready = data_ready(r);
         const double w = est.compute_cost(job, r);
         const sim::Time start =
-            result.earliest_slot(r, ready, w, request.config.slot_policy,
-                                 not_before, sim::kTimeInfinity, nullptr);
+            result.earliest_slot(r, row.value(k), w,
+                                 request.config.slot_policy, not_before,
+                                 sim::kTimeInfinity, nullptr);
         const sim::Time finish = start + w;
         if (best_resource == grid::kInvalidResource ||
             machine.departure > best_departure ||
@@ -227,47 +238,95 @@ EdgeInput resolve_edge_input(const RescheduleRequest& request,
   return EdgeInput{&edge, placed.resource, placed.finish, nullptr};
 }
 
-sim::Time edge_available(const RescheduleRequest& request,
-                         const EdgeInput& input, grid::ResourceId target) {
-  const grid::CostProvider& est = *request.estimates;
+DataReadyRow::DataReadyRow(const RescheduleRequest& request,
+                           std::span<const grid::ResourceId> targets)
+    : request_(request) {
+  retarget(targets);
+}
 
-  if (input.arrivals != nullptr) {
-    // Case 1 / "otherwise with finished n_m": the output already sits on
-    // (or is in flight to) `target` because of schedule S0.
-    if (const auto it = input.arrivals->find(target);
-        it != input.arrivals->end()) {
-      return it->second;
-    }
-    // Case 2: finished, but the output was never directed to `target`.
-    const double c = est.comm_cost(*input.edge, input.resource, target);
-    switch (request.config.transfer_policy) {
-      case TransferPolicy::kRetransmitFromClock:
-        // "The file transmission can not be earlier than clock."
-        return request.clock + c;
-      case TransferPolicy::kEagerReplicate:
-        // The copy left at max(AFT, target arrival).
-        return std::max(input.finish, request.pool->resource(target).arrival) +
-               c;
-      case TransferPolicy::kPrestagedArrivals:
-        // A joining resource syncs previously produced files on arrival.
-        return std::max(input.finish + c,
-                        request.pool->resource(target).arrival);
-    }
-    return request.clock + c;
+void DataReadyRow::retarget(std::span<const grid::ResourceId> targets) {
+  for (const grid::ResourceId r : targets_) {
+    slot_[r] = kNoSlot;
   }
+  targets_.assign(targets.begin(), targets.end());
+  edge_.resize(targets_.size());
+  ready_.resize(targets_.size());
+  for (std::size_t k = 0; k < targets_.size(); ++k) {
+    const grid::ResourceId r = targets_[k];
+    if (r >= slot_.size()) {
+      slot_.resize(r + 1, kNoSlot);
+    }
+    AHEFT_REQUIRE(slot_[r] == kNoSlot,
+                  "candidate list names resource " + std::to_string(r) +
+                      " twice");
+    slot_[r] = static_cast<std::uint32_t>(k);
+  }
+}
 
-  if (input.resource == target) {
-    return input.finish;  // Case 3
+void DataReadyRow::fill(std::span<const EdgeInput> inputs) {
+  const std::size_t n = targets_.size();
+  const sim::Time clock = request_.clock;
+  const auto arrival = [&](std::size_t k) {
+    return request_.pool->resource(targets_[k]).arrival;
+  };
+  std::fill(ready_.begin(), ready_.end(), sim::kTimeZero);
+  for (const EdgeInput& input : inputs) {
+    // c from n_m's resource to every target (0 on n_m's own resource).
+    request_.estimates->comm_costs(*input.edge, input.resource, targets_,
+                                   edge_);
+    if (input.arrivals != nullptr) {
+      // Case 2: n_m finished, but its output was never directed to the
+      // target.
+      switch (request_.config.transfer_policy) {
+        case TransferPolicy::kEagerReplicate:
+          // The copy left at max(AFT, target arrival).
+          for (std::size_t k = 0; k < n; ++k) {
+            edge_[k] = std::max(input.finish, arrival(k)) + edge_[k];
+          }
+          break;
+        case TransferPolicy::kPrestagedArrivals:
+          // A joining resource syncs previously produced files on arrival.
+          for (std::size_t k = 0; k < n; ++k) {
+            edge_[k] = std::max(input.finish + edge_[k], arrival(k));
+          }
+          break;
+        case TransferPolicy::kRetransmitFromClock:
+        default:
+          // "The file transmission can not be earlier than clock."
+          for (std::size_t k = 0; k < n; ++k) {
+            edge_[k] = clock + edge_[k];
+          }
+          break;
+      }
+      // Case 1 / "otherwise with finished n_m": the output already sits
+      // on (or is in flight to) the target because of schedule S0.
+      for (const auto& [r, when] : *input.arrivals) {
+        if (r < slot_.size() && slot_[r] != kNoSlot) {
+          edge_[slot_[r]] = when;
+        }
+      }
+    } else {
+      // Case 3 on n_m's own resource; otherwise the output follows the
+      // (new) schedule with one transfer.
+      for (std::size_t k = 0; k < n; ++k) {
+        edge_[k] = targets_[k] == input.resource ? input.finish
+                                                 : input.finish + edge_[k];
+      }
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      ready_[k] = std::max(ready_[k], edge_[k]);
+    }
   }
-  // Otherwise: output follows the (new) schedule with one transfer.
-  return input.finish + est.comm_cost(*input.edge, input.resource, target);
 }
 
 sim::Time file_available(const RescheduleRequest& request,
                          std::size_t edge_index, grid::ResourceId target,
                          const Schedule& new_schedule) {
-  return edge_available(
-      request, resolve_edge_input(request, edge_index, new_schedule), target);
+  const EdgeInput input =
+      resolve_edge_input(request, edge_index, new_schedule);
+  DataReadyRow row(request, std::span(&target, 1));
+  row.fill(std::span(&input, 1));
+  return row.value(0);
 }
 
 Schedule aheft_schedule(const RescheduleRequest& request) {

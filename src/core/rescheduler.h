@@ -68,7 +68,7 @@ struct RescheduleRequest {
 
 /// The producer side of Eq. 1 for one in-edge (m, i): everything FEA
 /// needs that does not depend on the target resource. A pass resolves a
-/// job's in-edges once, then evaluates them per candidate resource.
+/// job's in-edges once, then evaluates them over its candidate resources.
 struct EdgeInput {
   const dag::Edge* edge = nullptr;
   /// Where n_m ran (finished) or is placed in S1 (unfinished).
@@ -87,14 +87,42 @@ struct EdgeInput {
                                            std::size_t edge_index,
                                            const Schedule& new_schedule);
 
-/// The target-dependent part of Eq. 1: when `input`'s payload is
-/// available on `target`.
-[[nodiscard]] sim::Time edge_available(const RescheduleRequest& request,
-                                       const EdgeInput& input,
-                                       grid::ResourceId target);
+/// Eq. 1 by rows: the inner max of Eq. 2 — when all of a job's inputs are
+/// present — for every resource of a fixed candidate list at once. Each
+/// in-edge is priced with one CostProvider::comm_costs call over the
+/// whole list, and its snapshot arrivals are walked once against it. The
+/// row keeps its buffers, so a pass reuses one row for every job.
+class DataReadyRow {
+ public:
+  /// `request` must outlive the row; `targets` must not repeat a
+  /// resource.
+  DataReadyRow(const RescheduleRequest& request,
+               std::span<const grid::ResourceId> targets);
 
-/// The earliest time n_m's output can feed n_i on resource r (Eq. 1):
-/// edge_available over resolve_edge_input. Exposed for unit tests.
+  /// Replaces the candidate list (the values are stale until fill).
+  void retarget(std::span<const grid::ResourceId> targets);
+
+  /// value(k) = max over `inputs`, in order, of FEA(input, targets[k]);
+  /// kTimeZero for a job without inputs.
+  void fill(std::span<const EdgeInput> inputs);
+
+  [[nodiscard]] std::span<const grid::ResourceId> targets() const {
+    return targets_;
+  }
+  [[nodiscard]] sim::Time value(std::size_t k) const { return ready_[k]; }
+
+ private:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  const RescheduleRequest& request_;
+  std::vector<grid::ResourceId> targets_;
+  std::vector<std::uint32_t> slot_;  ///< resource id -> k, or kNoSlot
+  std::vector<double> edge_;         ///< one in-edge's FEA row
+  std::vector<sim::Time> ready_;
+};
+
+/// The earliest time n_m's output can feed n_i on resource r (Eq. 1): the
+/// one-target DataReadyRow of in-edge `edge_index`. Exposed for unit tests.
 [[nodiscard]] sim::Time file_available(const RescheduleRequest& request,
                                        std::size_t edge_index,
                                        grid::ResourceId target,

@@ -1,5 +1,7 @@
 #include "core/snapshot.h"
 
+#include <utility>
+
 #include "support/assert.h"
 
 namespace aheft::core {
@@ -12,6 +14,12 @@ ExecutionSnapshot ExecutionSnapshot::initial(std::size_t job_count,
 ExecutionSnapshot::ExecutionSnapshot(sim::Time clock, std::size_t job_count,
                                      std::size_t edge_count)
     : clock_(clock), finished_(job_count), arrivals_(edge_count) {
+  AHEFT_REQUIRE(clock >= 0.0, "clock must be non-negative");
+}
+
+ExecutionSnapshot::ExecutionSnapshot(sim::Time clock, std::size_t job_count,
+                                     EdgeArrivals arrivals)
+    : clock_(clock), finished_(job_count), arrivals_(std::move(arrivals)) {
   AHEFT_REQUIRE(clock >= 0.0, "clock must be non-negative");
 }
 

@@ -51,6 +51,10 @@ class ExecutionSnapshot {
 
   ExecutionSnapshot(sim::Time clock, std::size_t job_count,
                     std::size_t edge_count);
+  /// A snapshot whose arrivals are `arrivals` as they stand (one map per
+  /// edge, already holding the earliest time per resource).
+  ExecutionSnapshot(sim::Time clock, std::size_t job_count,
+                    EdgeArrivals arrivals);
 
   [[nodiscard]] sim::Time clock() const { return clock_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 #include <stdexcept>
 
 #include "support/assert.h"
@@ -31,16 +30,6 @@ void Dag::finalize() {
   }
   AHEFT_REQUIRE(!jobs_.empty(), "DAG must contain at least one job");
 
-  // Reject duplicate edges.
-  {
-    std::set<std::pair<JobId, JobId>> seen;
-    for (const Edge& e : edges_) {
-      const bool inserted = seen.emplace(e.from, e.to).second;
-      AHEFT_REQUIRE(inserted, "duplicate edge " + jobs_[e.from].name + " -> " +
-                                  jobs_[e.to].name);
-    }
-  }
-
   const auto v = jobs_.size();
   std::vector<std::uint32_t> in_degree(v, 0);
   std::vector<std::uint32_t> out_degree(v, 0);
@@ -65,6 +54,30 @@ void Dag::finalize() {
   };
   build_csr(in_degree, in_offsets_, in_index_, /*by_target=*/true);
   build_csr(out_degree, out_offsets_, out_index_, /*by_target=*/false);
+
+  // Reject duplicate edges: walk each source's out-edges (in insertion
+  // order) marking their targets. The message names the earliest-added
+  // repeat, whatever its source.
+  {
+    std::vector<JobId> marked_by(v, kInvalidJob);
+    std::size_t repeat = edges_.size();
+    for (JobId source = 0; source < v; ++source) {
+      for (std::uint32_t k = out_offsets_[source];
+           k < out_offsets_[source + 1]; ++k) {
+        const std::uint32_t e = out_index_[k];
+        JobId& mark = marked_by[edges_[e].to];
+        if (mark == source) {
+          repeat = std::min<std::size_t>(repeat, e);
+        }
+        mark = source;
+      }
+    }
+    if (repeat < edges_.size()) {
+      const Edge& e = edges_[repeat];
+      throw std::invalid_argument("duplicate edge " + jobs_[e.from].name +
+                                  " -> " + jobs_[e.to].name);
+    }
+  }
 
   // Kahn topological sort; deterministic FIFO order.
   topo_order_.clear();

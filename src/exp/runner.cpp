@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <iostream>
+#include <string>
 
 #include "support/stopwatch.h"
 #include "support/thread_pool.h"
@@ -23,8 +24,12 @@ SweepOutcome run_sweep(std::vector<CaseSpec> specs, std::size_t threads,
     outcome.results[i] = run_case(outcome.specs[i]);
     const std::size_t d = done.fetch_add(1) + 1;
     if (progress && d % report_every == 0) {
-      std::cerr << "  [sweep] " << d << "/" << total << " cases ("
-                << static_cast<int>(watch.seconds()) << "s)\n";
+      // One write per line: worker threads share std::cerr unlocked.
+      const std::string line =
+          "  [sweep] " + std::to_string(d) + "/" + std::to_string(total) +
+          " cases (" + std::to_string(static_cast<int>(watch.seconds())) +
+          "s)\n";
+      std::cerr << line;
     }
   };
 

@@ -4,6 +4,16 @@
 
 namespace aheft::grid {
 
+void CostProvider::comm_costs(const dag::Edge& e, ResourceId from,
+                              std::span<const ResourceId> targets,
+                              std::span<double> out) const {
+  AHEFT_REQUIRE(out.size() == targets.size(),
+                "comm_costs needs one output per target");
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    out[k] = comm_cost(e, from, targets[k]);
+  }
+}
+
 double CostProvider::mean_compute_cost(
     dag::JobId job, std::span<const ResourceId> resources) const {
   AHEFT_REQUIRE(!resources.empty(), "mean over empty resource set");

@@ -28,6 +28,14 @@ class CostProvider {
   [[nodiscard]] virtual double comm_cost(const dag::Edge& e, ResourceId from,
                                          ResourceId to) const = 0;
 
+  /// comm_cost of edge `e` from `from` to every resource of `targets`:
+  /// out[k] = comm_cost(e, from, targets[k]). One call prices a whole row
+  /// of candidate resources; the default loops over comm_cost, and a
+  /// provider whose cost does not depend on the target overrides it.
+  virtual void comm_costs(const dag::Edge& e, ResourceId from,
+                          std::span<const ResourceId> targets,
+                          std::span<double> out) const;
+
   /// Average communication cost of the edge across distinct resource pairs
   /// (the \bar{c}_{i,j} of the upward-rank definition, Eq. 5).
   [[nodiscard]] virtual double mean_comm_cost(const dag::Edge& e) const = 0;

@@ -43,6 +43,17 @@ double MachineModel::comm_cost(const dag::Edge& e, ResourceId from,
   return link_.transfer_cost(e.data);
 }
 
+void MachineModel::comm_costs(const dag::Edge& e, ResourceId from,
+                              std::span<const ResourceId> targets,
+                              std::span<double> out) const {
+  AHEFT_REQUIRE(out.size() == targets.size(),
+                "comm_costs needs one output per target");
+  const double c = link_.transfer_cost(e.data);
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    out[k] = targets[k] == from ? 0.0 : c;
+  }
+}
+
 double MachineModel::mean_comm_cost(const dag::Edge& e) const {
   // With a uniform link model every distinct pair costs the same.
   return link_.transfer_cost(e.data);

@@ -42,6 +42,9 @@ class MachineModel final : public CostProvider {
                                     ResourceId resource) const override;
   [[nodiscard]] double comm_cost(const dag::Edge& e, ResourceId from,
                                  ResourceId to) const override;
+  void comm_costs(const dag::Edge& e, ResourceId from,
+                  std::span<const ResourceId> targets,
+                  std::span<double> out) const override;
   [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override;
 
  private:

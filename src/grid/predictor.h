@@ -31,6 +31,11 @@ class PerfectPredictor final : public CostProvider {
                                  ResourceId to) const override {
     return truth_.comm_cost(e, from, to);
   }
+  void comm_costs(const dag::Edge& e, ResourceId from,
+                  std::span<const ResourceId> targets,
+                  std::span<double> out) const override {
+    truth_.comm_costs(e, from, targets, out);
+  }
   [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
     return truth_.mean_comm_cost(e);
   }
@@ -50,6 +55,11 @@ class NoisyPredictor final : public CostProvider {
   [[nodiscard]] double comm_cost(const dag::Edge& e, ResourceId from,
                                  ResourceId to) const override {
     return truth_.comm_cost(e, from, to);
+  }
+  void comm_costs(const dag::Edge& e, ResourceId from,
+                  std::span<const ResourceId> targets,
+                  std::span<double> out) const override {
+    truth_.comm_costs(e, from, targets, out);
   }
   [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
     return truth_.mean_comm_cost(e);
@@ -75,6 +85,11 @@ class HistoryBlendingPredictor final : public CostProvider {
   [[nodiscard]] double comm_cost(const dag::Edge& e, ResourceId from,
                                  ResourceId to) const override {
     return prior_.comm_cost(e, from, to);
+  }
+  void comm_costs(const dag::Edge& e, ResourceId from,
+                  std::span<const ResourceId> targets,
+                  std::span<double> out) const override {
+    prior_.comm_costs(e, from, targets, out);
   }
   [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
     return prior_.mean_comm_cost(e);

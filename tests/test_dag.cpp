@@ -74,6 +74,38 @@ TEST(Dag, RejectsDuplicateEdge) {
   d.add_edge(a, b, 1.0);
   d.add_edge(a, b, 2.0);
   EXPECT_THROW(d.finalize(), std::invalid_argument);
+
+  // A layered DAG of 40 jobs with every edge from layer k to layer k+1;
+  // two duplicates are buried among its 300 edges, and the message must
+  // name the one added first, not the lexicographically smaller pair.
+  Dag layered;
+  std::vector<JobId> jobs;
+  for (int i = 0; i < 40; ++i) {
+    std::string name = "j";
+    name += std::to_string(i);
+    jobs.push_back(layered.add_job(name));
+  }
+  for (int layer = 0; layer + 1 < 4; ++layer) {
+    for (int u = 0; u < 10; ++u) {
+      for (int v = 0; v < 10; ++v) {
+        layered.add_edge(jobs[layer * 10 + u], jobs[(layer + 1) * 10 + v],
+                         1.0);
+        if (layer == 1 && u == 7 && v == 3) {
+          layered.add_edge(jobs[17], jobs[23], 2.0);  // j17 -> j23 again
+        }
+        if (layer == 2 && u == 4 && v == 9) {
+          layered.add_edge(jobs[4], jobs[15], 2.0);  // j4 -> j15 again
+        }
+      }
+    }
+  }
+  try {
+    layered.finalize();
+    FAIL() << "duplicate edge accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "duplicate edge j17 -> j23");
+  }
+  EXPECT_FALSE(layered.finalized());
 }
 
 TEST(Dag, RejectsNegativeDataAndBadIds) {

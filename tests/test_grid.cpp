@@ -129,6 +129,62 @@ TEST(Predictor, NoisyIsDeterministicAndBounded) {
   EXPECT_THROW(NoisyPredictor(model, 1.5, 1), std::invalid_argument);
 }
 
+/// A provider whose comm cost depends on both ends and that keeps the
+/// base-class comm_costs, so the row default is exercised.
+class PairCosts final : public CostProvider {
+ public:
+  [[nodiscard]] double compute_cost(dag::JobId, ResourceId) const override {
+    return 1.0;
+  }
+  [[nodiscard]] double comm_cost(const dag::Edge& e, ResourceId from,
+                                 ResourceId to) const override {
+    return from == to ? 0.0 : e.data + 10.0 * from + 0.25 * to;
+  }
+  [[nodiscard]] double mean_comm_cost(const dag::Edge& e) const override {
+    return e.data;
+  }
+};
+
+// comm_costs prices a row of targets; each element must be exactly the
+// comm_cost of that pair, with `from` inside the row (0 there) and
+// outside it, for the machine model, the base-class default and every
+// predictor forwarding either.
+TEST(CostProvider, CommCostsRowMatchesPointQueries) {
+  dag::Dag graph;
+  graph.add_job("j1", "opA");
+  graph.add_job("j2", "opA");
+  graph.add_edge(0, 1, 6.0);
+  graph.finalize();
+  MachineModel model(2, 6, LinkModel{.latency = 0.5, .bandwidth = 3.0});
+  const PairCosts pairs;
+  PerformanceHistoryRepository history;
+  const PerfectPredictor perfect(model);
+  const NoisyPredictor noisy(model, 0.3, 7);
+  const HistoryBlendingPredictor blending(model, graph, history);
+  const PerfectPredictor perfect_pairs(pairs);
+  const NoisyPredictor noisy_pairs(pairs, 0.3, 7);
+  const HistoryBlendingPredictor blending_pairs(pairs, graph, history);
+  const std::vector<const CostProvider*> providers{
+      &model,    &pairs,         &perfect,     &noisy,
+      &blending, &perfect_pairs, &noisy_pairs, &blending_pairs};
+
+  const dag::Edge& edge = graph.edges()[0];
+  const std::vector<ResourceId> targets{4, 0, 2, 5, 1};
+  for (const CostProvider* provider : providers) {
+    for (const ResourceId from : {ResourceId{2}, ResourceId{3}}) {
+      std::vector<double> row(targets.size(), -1.0);
+      provider->comm_costs(edge, from, targets, row);
+      for (std::size_t k = 0; k < targets.size(); ++k) {
+        EXPECT_EQ(row[k], provider->comm_cost(edge, from, targets[k]))
+            << "from " << from << " to " << targets[k];
+      }
+    }
+    std::vector<double> short_row(targets.size() - 1);
+    EXPECT_THROW(provider->comm_costs(edge, 0, targets, short_row),
+                 std::invalid_argument);
+  }
+}
+
 TEST(History, SmoothsObservations) {
   PerformanceHistoryRepository history(0.5);
   EXPECT_FALSE(history.estimate("op", 0).has_value());

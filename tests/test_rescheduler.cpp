@@ -464,6 +464,107 @@ TEST_P(FileAvailableOracle, MatchesReferenceOnMidRunSnapshots) {
   EXPECT_GT(unresolved, 0u);
 }
 
+// Eq. 1 by rows: for every job whose in-edges resolve, the row over a
+// visible set must equal, per resource, the max of the reference over the
+// job's in-edges in in-edge order. The visible set leaves out the
+// resource holding the most arrivals, so arrivals fall outside the row;
+// that resource then gets a one-target row of its own, as a kept resource
+// that is no longer visible does in re-pricing mode.
+TEST_P(FileAvailableOracle, RowMatchesReferenceMaxOverInEdges) {
+  const test::RandomCase c = test::make_random_case(GetParam());
+  const dag::Dag& dag = c.workload.dag;
+  const Schedule initial = heft_schedule(dag, c.model, c.pool);
+  const std::vector<dag::JobId>& topo = dag.topological_order();
+
+  std::size_t rows = 0;
+  std::size_t hidden_arrivals = 0;
+  for (const double fraction : {0.2, 0.4, 0.6, 0.8}) {
+    sim::Simulator sim;
+    ExecutionEngine engine(sim, dag, c.model, c.pool);
+    engine.submit(initial);
+    sim.run_until(initial.makespan() * fraction);
+    const ExecutionSnapshot snap = engine.snapshot();
+
+    Schedule s1(dag.job_count());
+    for (std::size_t k = 0; k < topo.size() / 2; ++k) {
+      if (!snap.finished(topo[k])) {
+        s1.assign(engine.current_schedule().assignment(topo[k]));
+      }
+    }
+
+    // Hide the available resource that the most edges have arrivals on.
+    std::vector<grid::ResourceId> visible = c.pool.available_at(snap.clock());
+    ASSERT_GE(visible.size(), 2u);
+    const auto arrivals_on = [&](grid::ResourceId r) {
+      std::size_t count = 0;
+      for (std::size_t e = 0; e < dag.edges().size(); ++e) {
+        count += snap.arrivals(e).count(r);
+      }
+      return count;
+    };
+    const auto hidden_it =
+        std::max_element(visible.begin(), visible.end(),
+                         [&](grid::ResourceId a, grid::ResourceId b) {
+                           return arrivals_on(a) < arrivals_on(b);
+                         });
+    const grid::ResourceId hidden = *hidden_it;
+    hidden_arrivals += arrivals_on(hidden);
+    visible.erase(hidden_it);
+
+    RescheduleRequest req;
+    req.dag = &dag;
+    req.estimates = &c.model;
+    req.pool = &c.pool;
+    req.resources = visible;
+    req.clock = snap.clock();
+    req.snapshot = &snap;
+    req.previous = &engine.current_schedule();
+    DataReadyRow row(req, req.resources);
+    DataReadyRow kept(req, std::span(&hidden, 1));
+    std::vector<EdgeInput> inputs;
+    for (const TransferPolicy policy :
+         {TransferPolicy::kRetransmitFromClock,
+          TransferPolicy::kEagerReplicate,
+          TransferPolicy::kPrestagedArrivals}) {
+      req.config.transfer_policy = policy;
+      for (dag::JobId job = 0; job < dag.job_count(); ++job) {
+        const auto in = dag.in_edges(job);
+        const bool resolvable =
+            std::all_of(in.begin(), in.end(), [&](std::uint32_t e) {
+              const dag::JobId producer = dag.edges()[e].from;
+              return snap.finished(producer) || s1.assigned(producer);
+            });
+        if (!resolvable) {
+          continue;
+        }
+        inputs.clear();
+        for (const std::uint32_t e : in) {
+          inputs.push_back(resolve_edge_input(req, e, s1));
+        }
+        row.fill(inputs);
+        kept.fill(inputs);
+        const auto expected = [&](grid::ResourceId r) {
+          sim::Time ready = sim::kTimeZero;
+          for (const std::uint32_t e : in) {
+            ready = std::max(ready, reference_file_available(req, e, r, s1));
+          }
+          return ready;
+        };
+        for (std::size_t k = 0; k < req.resources.size(); ++k) {
+          EXPECT_EQ(row.value(k), expected(req.resources[k]))
+              << "job " << job << " target " << req.resources[k]
+              << " clock " << req.clock;
+        }
+        EXPECT_EQ(kept.value(0), expected(hidden))
+            << "job " << job << " kept " << hidden << " clock " << req.clock;
+        ++rows;
+      }
+    }
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_GT(hidden_arrivals, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FileAvailableOracle,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 
