@@ -115,20 +115,17 @@ int main(int argc, char** argv) {
             << env.scenario.events.size() << " events)\n\n";
 
   // --- bursty scenario -------------------------------------------------
-  {
-    std::vector<exp::CaseSpec> specs = bursty_specs;
-    exp::set_scenario_source(specs, "bursty");
-    const exp::SweepOutcome outcome = bench::run(options, std::move(specs));
-    report("bursty scenario (MMPP arrivals + load spikes):", outcome);
-  }
+  std::vector<exp::CaseSpec> specs = bursty_specs;
+  exp::set_scenario_source(specs, "bursty");
+  const exp::SweepOutcome bursty = bench::run(options, std::move(specs));
+  report("bursty scenario (MMPP arrivals + load spikes):", bursty);
 
   // --- trace-driven scenario: every DAG rides the recorded grid -------
-  {
-    std::vector<exp::CaseSpec> specs = bursty_specs;
-    exp::set_scenario_source(specs, "trace", trace_path);
-    const exp::SweepOutcome outcome = bench::run(options, std::move(specs));
-    report("trace-driven scenario (replayed recording):", outcome);
-  }
+  specs = bursty_specs;
+  exp::set_scenario_source(specs, "trace", trace_path);
+  const exp::SweepOutcome traced = bench::run(options, std::move(specs));
+  report("trace-driven scenario (replayed recording):", traced);
+  bench::write_csv_if_requested(options, {&bursty, &traced});
 
   if (!keep_trace) {
     std::remove(trace_path.c_str());

@@ -4,7 +4,8 @@
 //   --scale=smoke|default|paper   (or $AHEFT_SCALE; default: default)
 //   --threads=N                   (0 = hardware concurrency)
 //   --seed=N                      (master seed, default 42)
-//   --csv=path                    (optional per-case dump)
+//   --csv=path                    (optional per-case dump: every case of
+//                                  every sweep the run ran)
 //   --scenario-source=NAME        (grid environment backend; default keeps
 //                                  each sweep's own setting, usually
 //                                  "synthetic")
@@ -87,6 +88,8 @@ inline void print_help(const char* program) {
       << "  --threads=N                  worker threads (0 = hardware)\n"
       << "  --seed=N                     master seed (default 42)\n"
       << "  --csv=path                   per-case CSV dump\n"
+      << "  --table=LIST                 paper tables to print (bench_paper;\n"
+      << "                               3,4,6,7,8,fig5,fig8,overall or all)\n"
       << "  --json=path                  structured JSON results\n"
       << "  --scenario-source=NAME       grid environment backend\n"
       << "  --trace=path                 trace file (scenario source "
@@ -141,6 +144,25 @@ inline void print_help(const char* program) {
                "grammar.\n";
 }
 
+/// Parses --<flag>=N, a non-negative integer (digits only); returns
+/// `fallback` when the flag is absent and exits with a usage message on
+/// anything else, so "-1" cannot wrap to a huge thread count and "3abc"
+/// is not read as 3.
+inline std::uint64_t parse_unsigned_flag(const ArgParser& args,
+                                         const std::string& flag,
+                                         std::uint64_t fallback) {
+  if (!args.has(flag)) {
+    return fallback;
+  }
+  const std::string text = args.get(flag, "");
+  if (const auto value = parse_unsigned(text)) {
+    return *value;
+  }
+  std::cerr << "bad --" << flag << " value '" << text
+            << "' (want a non-negative integer, e.g. --" << flag << "=4)\n";
+  std::exit(2);
+}
+
 inline BenchOptions parse_options(int argc, char** argv) {
   const ArgParser args(argc, argv);
   if (args.has("help")) {
@@ -150,8 +172,8 @@ inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions options;
   options.scale = args.scale();
   options.threads =
-      static_cast<std::size_t>(args.get_int("threads", 0));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+      static_cast<std::size_t>(parse_unsigned_flag(args, "threads", 0));
+  options.seed = parse_unsigned_flag(args, "seed", 42);
   options.csv = args.get("csv", "");
   options.scenario_source = args.get("scenario-source", "");
   options.trace_path = args.get("trace", "");
@@ -200,24 +222,14 @@ inline std::vector<std::size_t> parse_size_axis(
   std::stringstream in(args.get(flag, ""));
   std::string token;
   while (std::getline(in, token, ',')) {
-    // All-digits only: std::stoul alone would wrap negatives to huge
-    // values and silently ignore trailing junk ("3abc").
-    try {
-      if (token.empty() ||
-          token.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("not a positive integer");
-      }
-      const unsigned long value = std::stoul(token);
-      if (value == 0) {
-        throw std::invalid_argument("zero");
-      }
-      values.push_back(static_cast<std::size_t>(value));
-    } catch (const std::exception&) {
+    const auto value = parse_unsigned(token);
+    if (!value || *value == 0) {
       std::cerr << "bad --" << flag << " token '" << token
                 << "' (want positive integers, e.g. --" << flag << "="
                 << example << ")\n";
       std::exit(2);
     }
+    values.push_back(static_cast<std::size_t>(*value));
   }
   if (values.empty()) {
     std::cerr << "--" << flag << " needs at least one positive integer\n";
@@ -434,9 +446,9 @@ inline void print_header(const std::string& title,
             << " cases=" << cases << "\n\n";
 }
 
-/// Runs the sweep with progress reporting and optional CSV dump. When
-/// --scenario-source was given, it overrides every spec's environment
-/// backend first (the sweep's scenario-source axis).
+/// Runs the sweep with progress reporting. The command-line environment
+/// overrides (--scenario-source, --contention-policy, --backfill,
+/// --contention-aware) apply to every spec first.
 inline exp::SweepOutcome run(const BenchOptions& options,
                              std::vector<exp::CaseSpec> specs) {
   if (!options.scenario_source.empty()) {
@@ -446,22 +458,27 @@ inline exp::SweepOutcome run(const BenchOptions& options,
   if (!options.contention_policy.empty()) {
     exp::set_contention_policy(specs, options.contention_policy);
   }
-  if (options.backfill) {
-    exp::set_backfill(specs, true);
-  }
-  if (options.contention_aware) {
-    exp::set_contention_aware(specs, true);
+  for (exp::CaseSpec& spec : specs) {
+    spec.backfill = spec.backfill || options.backfill;
+    spec.contention_aware = spec.contention_aware || options.contention_aware;
   }
   Stopwatch watch;
   exp::SweepOutcome outcome =
       exp::run_sweep(std::move(specs), options.threads, /*progress=*/true);
   std::cout << "ran " << outcome.results.size() << " cases in "
             << format_double(watch.seconds(), 1) << "s\n\n";
-  if (!options.csv.empty()) {
-    exp::dump_csv(outcome, options.csv);
-    std::cout << "per-case results written to " << options.csv << "\n\n";
-  }
   return outcome;
+}
+
+/// Writes every case of `outcomes` (the sweeps one run ran, in order) to
+/// the --csv path under one header; no-op without --csv.
+inline void write_csv_if_requested(
+    const BenchOptions& options,
+    const std::vector<const exp::SweepOutcome*>& outcomes) {
+  if (!options.csv.empty()) {
+    exp::dump_csv(outcomes, options.csv);
+    std::cout << "per-case results written to " << options.csv << "\n";
+  }
 }
 
 }  // namespace aheft::bench

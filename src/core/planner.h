@@ -68,9 +68,12 @@ struct PlannerConfig {
   /// searches into its free gaps, so plans price the machines' real
   /// reservation timelines instead of an empty grid. A fresh snapshot is
   /// taken at release time and at every re-evaluation (recorded per
-  /// decision in AdoptionRecord::view_snapshot). Off by default: the
-  /// contention-blind pass stays bit-identical, and solo sessions always
-  /// snapshot an empty (constraint-free) view anyway.
+  /// decision in AdoptionRecord::view_snapshot). Each evaluation also
+  /// re-prices the incumbent under the snapshot instead of comparing
+  /// against its last adopted prediction, so even a solo session, whose
+  /// view is empty, adopts differently once a load profile has made
+  /// execution drift from that prediction. Off by default: the
+  /// contention-blind pass stays bit-identical.
   bool contention_aware = false;
 };
 

@@ -65,9 +65,13 @@ struct CaseSpec {
   bool backfill = false;
   /// Contention-aware planning (PlannerConfig::contention_aware): every
   /// planning pass fits into the session ledger's availability snapshot
-  /// instead of assuming an empty grid. Off by default — single-DAG
-  /// cases snapshot an empty view anyway, and the multi-DAG default
-  /// stays bit-stable across PRs.
+  /// instead of assuming an empty grid, and each re-evaluation re-prices
+  /// the incumbent plan under that snapshot before the adoption test.
+  /// Single-DAG cases snapshot an empty view, but the re-pricing still
+  /// applies: under a load profile (bursty or trace scenarios), where
+  /// execution drifts from the prediction, it changes adoptions and
+  /// makespans. Off by default, so the default configuration stays
+  /// bit-stable across PRs.
   bool contention_aware = false;
   /// Per-workflow priorities / fair-share weights, cycled over the stream
   /// instances (instance k gets stream_priorities[k % size()]); empty

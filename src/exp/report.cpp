@@ -38,26 +38,30 @@ GroupStats overall(const SweepOutcome& outcome) {
   return stats;
 }
 
-void dump_csv(const SweepOutcome& outcome, const std::string& path) {
+void dump_csv(const std::vector<const SweepOutcome*>& outcomes,
+              const std::string& path) {
   CsvWriter csv(path,
                 {"app", "size", "ccr", "out_degree", "beta", "pool", "interval",
                  "fraction", "seed", "jobs", "universe", "heft", "aheft",
                  "minmin", "evaluations", "adoptions"});
-  for (std::size_t i = 0; i < outcome.specs.size(); ++i) {
-    const CaseSpec& s = outcome.specs[i];
-    const CaseResult& r = outcome.results[i];
-    csv.write_row({to_string(s.app), std::to_string(s.size),
-                   std::to_string(s.ccr), std::to_string(s.out_degree),
-                   std::to_string(s.beta), std::to_string(s.dynamics.initial),
-                   std::to_string(s.dynamics.interval),
-                   std::to_string(s.dynamics.fraction),
-                   std::to_string(s.seed), std::to_string(r.jobs),
-                   std::to_string(r.universe),
-                   std::to_string(r.heft_makespan),
-                   std::to_string(r.aheft_makespan),
-                   std::to_string(r.minmin_makespan),
-                   std::to_string(r.evaluations),
-                   std::to_string(r.adoptions)});
+  for (const SweepOutcome* outcome : outcomes) {
+    for (std::size_t i = 0; i < outcome->specs.size(); ++i) {
+      const CaseSpec& s = outcome->specs[i];
+      const CaseResult& r = outcome->results[i];
+      csv.write_row({to_string(s.app), std::to_string(s.size),
+                     std::to_string(s.ccr), std::to_string(s.out_degree),
+                     std::to_string(s.beta),
+                     std::to_string(s.dynamics.initial),
+                     std::to_string(s.dynamics.interval),
+                     std::to_string(s.dynamics.fraction),
+                     std::to_string(s.seed), std::to_string(r.jobs),
+                     std::to_string(r.universe),
+                     std::to_string(r.heft_makespan),
+                     std::to_string(r.aheft_makespan),
+                     std::to_string(r.minmin_makespan),
+                     std::to_string(r.evaluations),
+                     std::to_string(r.adoptions)});
+    }
   }
 }
 

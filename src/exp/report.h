@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "exp/runner.h"
 #include "support/stats.h"
@@ -33,8 +34,10 @@ struct GroupStats {
 /// Collapses the whole sweep into a single group.
 [[nodiscard]] GroupStats overall(const SweepOutcome& outcome);
 
-/// Writes one CSV row per case (spec fields + makespans) to `path`.
-void dump_csv(const SweepOutcome& outcome, const std::string& path);
+/// Writes one CSV row per case (spec fields + makespans) to `path`: every
+/// case of every outcome, in order, under a single header.
+void dump_csv(const std::vector<const SweepOutcome*>& outcomes,
+              const std::string& path);
 
 }  // namespace aheft::exp
 

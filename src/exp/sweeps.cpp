@@ -232,19 +232,6 @@ void set_contention_policy(std::vector<CaseSpec>& specs,
   }
 }
 
-void set_backfill(std::vector<CaseSpec>& specs, bool backfill) {
-  for (CaseSpec& spec : specs) {
-    spec.backfill = backfill;
-  }
-}
-
-void set_contention_aware(std::vector<CaseSpec>& specs,
-                          bool contention_aware) {
-  for (CaseSpec& spec : specs) {
-    spec.contention_aware = contention_aware;
-  }
-}
-
 std::vector<CaseSpec> build_fig8_sweep(AppKind app, SweepAxis axis,
                                        Scale scale, std::uint64_t master) {
   AHEFT_REQUIRE(app != AppKind::kRandom,

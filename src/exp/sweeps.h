@@ -66,16 +66,6 @@ void set_scenario_source(std::vector<CaseSpec>& specs,
 void set_contention_policy(std::vector<CaseSpec>& specs,
                            std::string_view policy);
 
-/// Applies the session-level ledger backfilling flag to every spec: the
-/// benches' --backfill knob.
-void set_backfill(std::vector<CaseSpec>& specs, bool backfill);
-
-/// Applies the contention-aware planning flag to every spec: the
-/// benches' --contention-aware knob (planning passes fit into the
-/// session ledger's availability snapshot).
-void set_contention_aware(std::vector<CaseSpec>& specs,
-                          bool contention_aware);
-
 }  // namespace aheft::exp
 
 #endif  // AHEFT_EXP_SWEEPS_H_

@@ -1,7 +1,9 @@
 #include "support/env.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace aheft {
 
@@ -30,6 +32,18 @@ std::optional<std::string> get_env(const std::string& name) {
     return std::nullopt;
   }
   return std::string(value);
+}
+
+std::optional<std::uint64_t> parse_unsigned(std::string_view text) {
+  // from_chars takes no sign or whitespace for an unsigned target and
+  // reports overflow instead of wrapping.
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 ArgParser::ArgParser(int argc, const char* const* argv) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace aheft {
@@ -19,6 +20,12 @@ enum class Scale { kSmoke, kDefault, kPaper };
 
 /// Reads an environment variable, empty optional when unset/empty.
 [[nodiscard]] std::optional<std::string> get_env(const std::string& name);
+
+/// Parses a decimal unsigned integer: digits only, so a sign, spaces,
+/// trailing junk ("3abc") or a value past 2^64 - 1 yield an empty
+/// optional instead of a wrapped or truncated number.
+[[nodiscard]] std::optional<std::uint64_t> parse_unsigned(
+    std::string_view text);
 
 /// A tiny --key=value / --flag argument parser used by benches/examples.
 /// Unrecognized positional arguments are kept in positional().

@@ -4,6 +4,9 @@
 
 #include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/case.h"
 #include "exp/paper_params.h"
@@ -119,17 +122,30 @@ TEST(Report, GroupByAndOverall) {
 }
 
 TEST(Report, DumpCsvWritesOneRowPerCase) {
-  std::vector<CaseSpec> specs{small_spec(1), small_spec(2)};
-  const SweepOutcome outcome = run_sweep(specs, 1);
+  // Two sweeps into one file: one header, then every case of both, in
+  // order (a bench that runs several sweeps keeps all of them).
+  const SweepOutcome first = run_sweep({small_spec(1), small_spec(2)}, 1);
+  const SweepOutcome second = run_sweep({small_spec(3)}, 1);
   const std::string path = ::testing::TempDir() + "/sweep.csv";
-  dump_csv(outcome, path);
+  dump_csv({&first, &second}, path);
   std::ifstream in(path);
   std::string line;
-  std::size_t lines = 0;
+  std::vector<std::string> lines;
   while (std::getline(in, line)) {
-    ++lines;
+    lines.push_back(line);
   }
-  EXPECT_EQ(lines, 3u);  // header + 2 cases
+  ASSERT_EQ(lines.size(), 4u);  // header + 3 cases
+  EXPECT_EQ(lines[0].rfind("app,", 0), 0u);
+  const std::vector<std::string> seeds{"1", "2", "3"};
+  for (std::size_t row = 0; row < seeds.size(); ++row) {
+    // Column 9 is the case seed.
+    std::stringstream cells(lines[row + 1]);
+    std::string cell;
+    for (int column = 0; column < 9; ++column) {
+      std::getline(cells, cell, ',');
+    }
+    EXPECT_EQ(cell, seeds[row]) << lines[row + 1];
+  }
 }
 
 TEST(Sweeps, CaseSeedIsStableAndSensitive) {

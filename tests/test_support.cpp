@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <set>
 #include <stdexcept>
@@ -390,6 +392,20 @@ TEST(Env, ArgParserParsesOptionsAndPositionals) {
   EXPECT_DOUBLE_EQ(args.get_double("ccr", 1.5), 1.5);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "positional");
+}
+
+TEST(Env, ParseUnsignedTakesDigitsOnly) {
+  EXPECT_EQ(parse_unsigned("0"), 0u);
+  EXPECT_EQ(parse_unsigned("42"), 42u);
+  EXPECT_EQ(parse_unsigned("007"), 7u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  // Each of these used to wrap, throw or truncate on its way to a thread
+  // count or seed.
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "3abc", "abc", "1.5",
+                          "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_unsigned(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 // ----- thread pool -----------------------------------------------------------
