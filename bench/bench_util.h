@@ -170,6 +170,11 @@ inline BenchOptions parse_options(int argc, char** argv) {
     std::exit(0);
   }
   BenchOptions options;
+  if (args.has("scale") && !parse_scale(args.get("scale", ""))) {
+    std::cerr << "bad --scale value '" << args.get("scale", "")
+              << "' (want smoke, default or paper)\n";
+    std::exit(2);
+  }
   options.scale = args.scale();
   options.threads =
       static_cast<std::size_t>(parse_unsigned_flag(args, "threads", 0));
@@ -181,14 +186,21 @@ inline BenchOptions parse_options(int argc, char** argv) {
   options.contention_policy = args.get("contention-policy", "");
   if (!options.scenario_source.empty()) {
     // Same eager validation as --contention-policy below: an unknown
-    // backend (or a missing --trace/--archive) should fail with a usage
-    // message, not escape as an exception from the first case.
+    // backend, a missing --trace/--archive, or a file that does not open
+    // or parse should fail with a one-line message, not escape as an
+    // exception from the first case. The file's parse is cached for the
+    // sweep.
     try {
       std::vector<exp::CaseSpec> probe(1);
       exp::set_scenario_source(probe, options.scenario_source,
                                options.trace_path, options.archive_path);
     } catch (const std::invalid_argument& error) {
       std::cerr << "--scenario-source: " << error.what() << "\n";
+      std::exit(2);
+    } catch (const std::runtime_error& error) {
+      std::cerr << (options.scenario_source == "trace" ? "--trace: "
+                                                       : "--archive: ")
+                << error.what() << "\n";
       std::exit(2);
     }
   }

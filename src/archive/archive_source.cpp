@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,19 +28,6 @@ constexpr double kLoadHorizonDays = 14.0;
 /// Replay utilization is averaged over at most this many buckets.
 constexpr std::size_t kUtilizationBuckets = 256;
 
-/// Sweeps share archives across hundreds of cases; parse each path once
-/// per process (same idiom and caveats as the TraceSource cache).
-const SwfLog& cached_log(const std::string& path) {
-  static std::mutex mutex;
-  static std::map<std::string, SwfLog, std::less<>> cache;
-  const std::lock_guard<std::mutex> lock(mutex);
-  auto it = cache.find(path);
-  if (it == cache.end()) {
-    it = cache.emplace(path, read_swf_file(path)).first;
-  }
-  return it->second;
-}
-
 void validate(const ArchiveParams& params) {
   AHEFT_REQUIRE(!params.text.empty() || !params.path.empty(),
                 "archive scenario source needs archive.path or archive.text");
@@ -63,7 +48,7 @@ const SwfLog& request_log(const ArchiveParams& params, SwfLog& owned) {
     owned = read_swf_string(params.text);
     return owned;
   }
-  return cached_log(params.path);
+  return read_once<&read_swf_file>(params.path);  // parsed once per path
 }
 
 /// Grid size: explicit knob, else the log's MaxNodes / MaxProcs headers,

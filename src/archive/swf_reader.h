@@ -17,19 +17,22 @@
 // Structured header comments of the form `; Key: Value` (Version,
 // MaxProcs, MaxNodes, UnixStartTime, ...) are parsed into the header map.
 //
-// The reader applies the same line-numbered-rejection rigor as the
-// gridtrace reader: malformed fields, negative submit times, and
-// out-of-order submits raise SwfParseError carrying the 1-based line.
+// Lines, fields and numbers follow the rules shared with the gridtrace
+// reader (support/record_reader.h): any C-locale whitespace separates
+// fields, so a line that is only whitespace is blank and a header comment
+// may be indented by any of it. Malformed fields, negative submit times,
+// and out-of-order submits raise SwfParseError carrying the 1-based line.
 #ifndef AHEFT_ARCHIVE_SWF_READER_H_
 #define AHEFT_ARCHIVE_SWF_READER_H_
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/record_reader.h"
 
 namespace aheft::archive {
 
@@ -92,16 +95,8 @@ struct SwfLog {
   bool operator==(const SwfLog&) const = default;
 };
 
-/// Parse failure; carries the 1-based line number of the offending record.
-class SwfParseError : public std::runtime_error {
- public:
-  SwfParseError(std::size_t line, const std::string& message);
-
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
-
- private:
-  std::size_t line_;
-};
+/// Parse failure: what() is "swf line <N>: <message>", line() is N.
+using SwfParseError = RecordParseError;
 
 /// Parses an SWF/GWA log; throws SwfParseError on malformed input.
 [[nodiscard]] SwfLog read_swf(std::istream& in);

@@ -1,13 +1,22 @@
 #include "exp/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "support/stopwatch.h"
 #include "support/thread_pool.h"
 
 namespace aheft::exp {
+
+std::size_t sweep_workers(std::size_t threads, std::size_t cases) {
+  if (threads == 0) {
+    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  return std::min(threads, cases);
+}
 
 SweepOutcome run_sweep(std::vector<CaseSpec> specs, std::size_t threads,
                        bool progress) {
@@ -33,12 +42,13 @@ SweepOutcome run_sweep(std::vector<CaseSpec> specs, std::size_t threads,
     }
   };
 
-  if (threads == 1 || total <= 1) {
+  const std::size_t workers = sweep_workers(threads, total);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < total; ++i) {
       body(i);
     }
   } else {
-    ThreadPool pool(threads);
+    ThreadPool pool(workers);
     parallel_for(&pool, total, body);
   }
   return outcome;

@@ -15,7 +15,13 @@ struct SweepOutcome {
   std::vector<CaseResult> results;  ///< parallel to specs
 };
 
-/// Runs every case. `threads` 0 = hardware concurrency, 1 = inline.
+/// Worker threads a sweep of `cases` cases starts for a `threads`
+/// request (0 = hardware concurrency): never more than it has cases.
+[[nodiscard]] std::size_t sweep_workers(std::size_t threads,
+                                        std::size_t cases);
+
+/// Runs every case on sweep_workers(threads, cases) threads; one or
+/// fewer runs inline.
 /// Prints coarse progress to stderr when `progress` is true.
 [[nodiscard]] SweepOutcome run_sweep(std::vector<CaseSpec> specs,
                                      std::size_t threads = 0,

@@ -2,10 +2,13 @@
 
 #include <sstream>
 
+#include "archive/swf_reader.h"
 #include "core/contention_policy.h"
 #include "exp/paper_params.h"
 #include "support/assert.h"
+#include "support/record_reader.h"
 #include "support/rng.h"
+#include "traces/trace_format.h"
 
 namespace aheft::exp {
 
@@ -214,6 +217,13 @@ void set_scenario_source(std::vector<CaseSpec>& specs,
     throw std::invalid_argument(
         "scenario source '" + std::string(source) +
         "' needs an SWF/GWA log (--archive=path)");
+  }
+  // Parse the file now, through the same per-path cache the source reads
+  // from, so a bad file fails here with its line-numbered error.
+  if (source == "trace") {
+    (void)read_once<&traces::read_trace_file>(std::string(trace_path));
+  } else if (source == "archive" || source == "fitted") {
+    (void)read_once<&archive::read_swf_file>(std::string(archive_path));
   }
   for (CaseSpec& spec : specs) {
     spec.scenario_source = source;

@@ -54,7 +54,10 @@ enum class SweepAxis { kCcr, kBeta, kJobs, kPool, kInterval, kFraction };
 /// --scenario-source=NAME knob. `trace_path` feeds the "trace" source;
 /// `archive_path` feeds the "archive" and "fitted" sources (--archive).
 /// Throws std::invalid_argument when the source is not registered or
-/// when a file-driven source is missing its path.
+/// when a file-driven source is missing its path. A file-driven source's
+/// file is parsed here (once per process, the parse its cases reuse), so
+/// an unreadable or malformed file throws std::runtime_error — for bad
+/// contents a RecordParseError naming the line — before any case runs.
 void set_scenario_source(std::vector<CaseSpec>& specs,
                          std::string_view source,
                          std::string_view trace_path = {},

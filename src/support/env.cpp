@@ -1,9 +1,9 @@
 #include "support/env.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
-#include <system_error>
+
+#include "support/record_reader.h"
 
 namespace aheft {
 
@@ -35,15 +35,9 @@ std::optional<std::string> get_env(const std::string& name) {
 }
 
 std::optional<std::uint64_t> parse_unsigned(std::string_view text) {
-  // from_chars takes no sign or whitespace for an unsigned target and
-  // reports overflow instead of wrapping.
-  std::uint64_t value = 0;
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (text.empty() || error != std::errc() || stop != end) {
-    return std::nullopt;
-  }
-  return value;
+  // An unsigned target takes no sign, and overflow is reported, not
+  // wrapped.
+  return parse_number<std::uint64_t>(text);
 }
 
 ArgParser::ArgParser(int argc, const char* const* argv) {

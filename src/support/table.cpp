@@ -1,29 +1,22 @@
 #include "support/table.h"
 
 #include <algorithm>
-#include <charconv>
 #include <iomanip>
 #include <sstream>
 
 #include "support/assert.h"
+#include "support/record_reader.h"
 
 namespace aheft {
 
 namespace {
 
-bool looks_numeric(const std::string& cell) {
-  if (cell.empty()) {
-    return false;
-  }
-  double value = 0.0;
-  const char* begin = cell.data();
-  const char* end = begin + cell.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc()) {
-    return false;
-  }
+bool looks_numeric(std::string_view cell) {
   // Allow a trailing '%' so percentage columns right-align too.
-  return ptr == end || (ptr + 1 == end && *ptr == '%');
+  if (cell.ends_with('%')) {
+    cell.remove_suffix(1);
+  }
+  return parse_number<double>(cell).has_value();
 }
 
 }  // namespace

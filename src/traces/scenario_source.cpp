@@ -78,28 +78,10 @@ class TraceSource final : public ScenarioSource {
     if (!request.trace_text.empty()) {
       return TraceCompiler().compile(read_trace_string(request.trace_text));
     }
-    // Sweeps run hundreds of cases against the same file from worker
-    // threads; parse each path once for the process lifetime. (A file
-    // rewritten in place mid-process keeps serving the first parse.)
-    // Entries are never erased and std::map nodes are stable, so only
-    // the lookup needs the lock — per-case compilation runs outside it.
-    const GridTrace* trace = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto it = cache_.find(request.trace_path);
-      if (it == cache_.end()) {
-        it = cache_.emplace(request.trace_path,
-                            read_trace_file(request.trace_path))
-                 .first;
-      }
-      trace = &it->second;
-    }
-    return TraceCompiler().compile(*trace);
+    // Sweeps run hundreds of cases against the same file; parse it once.
+    return TraceCompiler().compile(
+        read_once<&read_trace_file>(request.trace_path));
   }
-
- private:
-  mutable std::mutex cache_mutex_;
-  mutable std::map<std::string, GridTrace, std::less<>> cache_;
 };
 
 // ------------------------------------------------------------- bursty --

@@ -5,8 +5,9 @@
 // arrival records — so any simulated environment can be recorded and
 // replayed bit-identically.
 //
-// Grammar (one record per line; '#' starts a comment; blank lines are
-// ignored; fields are whitespace-separated):
+// Grammar (one record per line; a field that starts with '#' starts a
+// comment; blank lines are ignored; fields are separated by any C-locale
+// whitespace, as every support/record_reader format is):
 //
 //   gridtrace v1 <name>                          header, first record
 //   resource <id> <arrival> <departure> <name>   availability window
@@ -17,7 +18,9 @@
 // denotes an open departure or load-segment end. Resource and job ids
 // must be dense and ascending from 0 so they line up with the library's
 // dense grid::ResourceId / dag::JobId indexing. Records may only
-// reference resources declared on earlier lines. Doubles are written
+// reference resources declared on earlier lines. Names are single
+// tokens without '#' or control bytes, so every name the reader accepts
+// survives a write unchanged. Doubles are written
 // with max_digits10 precision, so a write -> read round trip reproduces
 // the exact same values.
 #ifndef AHEFT_TRACES_TRACE_FORMAT_H_
@@ -25,13 +28,13 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "grid/resource.h"
 #include "sim/time.h"
+#include "support/record_reader.h"
 
 namespace aheft::traces {
 
@@ -76,16 +79,8 @@ struct GridTrace {
   bool operator==(const GridTrace&) const = default;
 };
 
-/// Parse failure; carries the 1-based line number of the offending record.
-class TraceParseError : public std::runtime_error {
- public:
-  TraceParseError(std::size_t line, const std::string& message);
-
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
-
- private:
-  std::size_t line_;
-};
+/// Parse failure: what() is "trace line <N>: <message>", line() is N.
+using TraceParseError = RecordParseError;
 
 /// Parses a trace; throws TraceParseError on malformed input.
 [[nodiscard]] GridTrace read_trace(std::istream& in);
@@ -93,8 +88,9 @@ class TraceParseError : public std::runtime_error {
 /// Throws std::runtime_error when the file cannot be opened.
 [[nodiscard]] GridTrace read_trace_file(const std::string& path);
 
-/// Writes a trace in the format read_trace parses. Whitespace inside
-/// names is replaced with '_' (names are single tokens on disk).
+/// Writes a trace in the format read_trace parses. Whitespace, control
+/// bytes and '#' inside names are replaced with '_' (names are single
+/// tokens on disk).
 void write_trace(std::ostream& out, const GridTrace& trace);
 [[nodiscard]] std::string write_trace_string(const GridTrace& trace);
 /// Throws std::runtime_error when the file cannot be created.

@@ -97,6 +97,23 @@ TEST(Runner, ThreadCountDoesNotChangeResults) {
   }
 }
 
+TEST(Runner, NeverStartsMoreWorkersThanCases) {
+  // Worker counts are checked without starting any threads.
+  EXPECT_EQ(sweep_workers(64, 3), 3u);
+  EXPECT_EQ(sweep_workers(2, 3), 2u);
+  EXPECT_EQ(sweep_workers(4, 0), 0u);
+  EXPECT_GE(sweep_workers(0, 3), 1u);
+  EXPECT_LE(sweep_workers(0, 3), 3u);
+  // Asking for more threads than cases still runs every case once.
+  const SweepOutcome outcome = run_sweep({small_spec(1), small_spec(2)}, 6);
+  const SweepOutcome serial = run_sweep({small_spec(1), small_spec(2)}, 1);
+  ASSERT_EQ(outcome.results.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(outcome.results[i].aheft_makespan,
+              serial.results[i].aheft_makespan);
+  }
+}
+
 TEST(Report, GroupByAndOverall) {
   std::vector<CaseSpec> specs;
   for (const double ccr : {0.5, 5.0}) {

@@ -1,7 +1,11 @@
 // Unit tests for the support layer: RNG, stats, tables, CSV, env, pool.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdio>
+#include <sstream>
+#include <string_view>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,6 +16,7 @@
 #include "support/assert.h"
 #include "support/csv.h"
 #include "support/env.h"
+#include "support/record_reader.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -406,6 +411,135 @@ TEST(Env, ParseUnsignedTakesDigitsOnly) {
                           "0x10", "18446744073709551616"}) {
     EXPECT_FALSE(parse_unsigned(bad).has_value()) << "'" << bad << "'";
   }
+}
+
+// ----- record reader ---------------------------------------------------------
+
+/// The line number a RecordReader's error names right now.
+std::size_t error_line(const RecordReader& reader) {
+  try {
+    reader.fail("probe");
+  } catch (const RecordParseError& error) {
+    return error.line();
+  }
+  return 0;
+}
+
+/// Every line a RecordReader yields, and the line its errors name once
+/// the text is used up.
+std::pair<std::vector<std::string>, std::size_t> lines_of(
+    std::string_view text) {
+  RecordReader reader("test", text);
+  std::vector<std::string> lines;
+  while (reader.next_line()) {
+    lines.emplace_back(reader.line());
+    EXPECT_EQ(error_line(reader), lines.size());
+  }
+  return {lines, error_line(reader)};
+}
+
+TEST(RecordReader, SplitsLinesLikeGetline) {
+  for (const std::string& text :
+       {std::string(""), std::string("\n"), std::string("a"),
+        std::string("a\n"), std::string("a\n\nb"), std::string("\n\n"),
+        std::string("a\r\nb\r\n"), std::string("x\0y\nz", 5)}) {
+    std::istringstream in(text);
+    std::vector<std::string> expected;
+    for (std::string line; std::getline(in, line);) {
+      expected.push_back(line);
+    }
+    const auto [lines, last] = lines_of(text);
+    EXPECT_EQ(lines, expected);
+    EXPECT_EQ(last, std::max<std::size_t>(expected.size(), 1));
+  }
+}
+
+TEST(RecordReader, SplitsFieldsOnCLocaleWhitespace) {
+  using namespace std::string_view_literals;
+  RecordReader reader("test", " a\tb\v\fc\r\x01" "d e#f #g h\0i"sv);
+  ASSERT_TRUE(reader.next_line());
+  std::array<std::string_view, 3> fields;
+  // All fields are counted; only the first three are stored.
+  EXPECT_EQ(reader.split(fields), 7u);
+  EXPECT_EQ(fields[0], "a");
+  EXPECT_EQ(fields[1], "b");
+  EXPECT_EQ(fields[2], "c");
+  // A field that starts with the comment byte ends the line; one that
+  // only contains it does not.
+  std::array<std::string_view, 8> all;
+  ASSERT_EQ(reader.split(all, '#'), 5u);
+  EXPECT_EQ(all[3], "\x01" "d");
+  EXPECT_EQ(all[4], "e#f");
+  EXPECT_EQ(reader.split(all, 'z'), 7u);
+  EXPECT_EQ(all[6], "h\0i"sv);
+}
+
+TEST(RecordReader, NumbersMustFillTheirField) {
+  EXPECT_EQ(parse_number<std::int64_t>("-12"), -12);
+  EXPECT_EQ(parse_number<double>("inf"),
+            std::numeric_limits<double>::infinity());
+  for (const char* bad : {"", "5abc", " 5", "+5", "1e999", "0x1p3"}) {
+    EXPECT_FALSE(parse_number<double>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_number<std::uint32_t>("4294967296").has_value());
+
+  RecordReader reader("demo", "\n7 x7\n");
+  ASSERT_TRUE(reader.next_line());
+  ASSERT_TRUE(reader.next_line());
+  EXPECT_EQ(reader.number<int>("7", "count"), 7);
+  try {
+    (void)reader.number<int>("x7", "count");
+    FAIL() << "expected RecordParseError";
+  } catch (const RecordParseError& error) {
+    EXPECT_EQ(error.line(), 2u);
+    EXPECT_EQ(error.format(), "demo");
+    EXPECT_STREQ(error.what(), "demo line 2: malformed count 'x7'");
+  }
+}
+
+TEST(RecordWriter, FormatsExactlyAndLikePrintf) {
+  for (const double value :
+       {0.0, -0.0, 1.0, 120.0, 0.1, 1.0 / 3.0, 1e-300, 1e300, 123456789e7,
+        5e-324, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.17g", value);
+    EXPECT_EQ(format_significant(value), expected);
+    std::snprintf(expected, sizeof(expected), "%g", value);
+    EXPECT_EQ(format_significant(value, 6), expected);
+    if (std::isfinite(value)) {
+      EXPECT_EQ(parse_number<double>(format_significant(value)), value);
+    }
+  }
+  RecordWriter writer;
+  writer.field("job").field(std::int64_t{-1}).field(2.5).end_record();
+  writer.field(std::uint32_t{7}).end_record();
+  EXPECT_EQ(writer.take(), "job -1 2.5\n7\n");
+}
+
+int g_counted_reads = 0;
+
+std::string counted_read(const std::string& path) {
+  ++g_counted_reads;
+  return read_text_file(path, "test");
+}
+
+TEST(RecordReader, ReadOnceParsesEachPathOnce) {
+  const std::string path = ::testing::TempDir() + "/read_once.txt";
+  write_text_file(path, "test", "first");
+  EXPECT_EQ(read_once<&counted_read>(path), "first");
+  // A rewrite mid-process keeps serving the first parse.
+  write_text_file(path, "test", "second");
+  EXPECT_EQ(read_once<&counted_read>(path), "first");
+  EXPECT_EQ(g_counted_reads, 1);
+  EXPECT_EQ(read_text_file(path, "test"), "second");
+  // A file that cannot be read throws each time and caches nothing.
+  const std::string missing = ::testing::TempDir() + "/no/such/file";
+  EXPECT_THROW((void)read_once<&counted_read>(missing), std::runtime_error);
+  EXPECT_THROW((void)read_once<&counted_read>(missing), std::runtime_error);
+  EXPECT_EQ(g_counted_reads, 3);
+  std::remove(path.c_str());
 }
 
 // ----- thread pool -----------------------------------------------------------

@@ -110,6 +110,23 @@ TEST(TraceFormat, RejectsMalformedInputWithLineNumbers) {
   expect_rejects("gridtrace v1 x\njob 3 0 late\n", 2, "dense");
 }
 
+TEST(TraceFormat, RejectsNamesTheWriterWouldRewrite) {
+  // The writer turns '#' and control bytes in names into '_', so a name
+  // holding one could not round-trip: the reader refuses it on its line.
+  const std::string refusal = "names must not contain '#' or control bytes";
+  expect_rejects("gridtrace v1 a#b\n", 1, refusal);
+  expect_rejects("gridtrace v1 x\nresource 0 0 inf a#b\n", 2, refusal);
+  expect_rejects("gridtrace v1 x\nresource 0 0 inf r\x01\n", 2, refusal);
+  expect_rejects("gridtrace v1 x\n\njob 0 0 j\x7f\x1f\n", 3, refusal);
+  // A field that starts with '#' still starts a comment, and other bytes
+  // (DEL, UTF-8) are plain name bytes.
+  const GridTrace trace = read_trace_string(
+      "gridtrace v1 x\nresource 0 0 inf r\x7f\xc3\xa9 #c\n");
+  ASSERT_EQ(trace.resources.size(), 1u);
+  EXPECT_EQ(trace.resources[0].name, "r\x7f\xc3\xa9");
+  EXPECT_EQ(read_trace_string(write_trace_string(trace)), trace);
+}
+
 TEST(TraceFormat, SanitizesControlCharactersInNames) {
   GridTrace trace;
   trace.name = "multi word";
